@@ -698,6 +698,21 @@ func (pg *Page) Unpin(dirty bool) {
 	pg.pool.releasePin(pg.id, pg.f, dirty)
 }
 
+// FlushCtx marks the page dirty and writes it back while the handle keeps
+// it pinned, so no eviction can take the page between the caller's
+// modification and the write. On a durable backend a nil return means the
+// image has reached the write-ahead log. The handle stays valid.
+func (pg *Page) FlushCtx(ctx context.Context) error {
+	if !pg.valid {
+		panic("bufferpool: use of page handle after Unpin")
+	}
+	if pg.pool.closed.Load() {
+		return ErrClosed
+	}
+	pg.f.dirty.Store(true)
+	return pg.pool.flushFrame(ctx, pg.id, pg.f)
+}
+
 // pinned completes a pin that may have raced with an unpin on the
 // evictability flag: whichever of the two handshakes runs last under the
 // frame's mu re-derives the flag from the authoritative pin count.

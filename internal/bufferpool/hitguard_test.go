@@ -45,11 +45,11 @@ func hitBench(build func(d storage.Backend) *Pool) testing.BenchmarkResult {
 // bench-hit` (and `make check`): the batched pool's resident-hit cost must
 // stay under an absolute ceiling and must not fall behind the eagerly
 // locked sharded pool it exists to beat. The batched configuration
-// measures ~320 ns/op on the reference container; the ceiling is 4x that
+// measures ~240 ns/op on a 2-CPU container; the ceiling is over 5x that
 // so loaded CI boxes do not flake, while still catching the regressions
-// that motivated PR 7's fixes (a replacer latch back on the fast path, an
-// eager victim-index update per reference, a per-hit allocation). Skipped
-// under -race (the detector multiplies atomic costs) and in -short mode.
+// that motivated the fast path (a replacer latch back on it, an index
+// re-key per reference, a per-hit allocation). Skipped under -race (the
+// detector multiplies atomic costs) and in -short mode.
 func TestHitPathCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("hit-path ceiling is meaningless under the race detector")
@@ -72,8 +72,10 @@ func TestHitPathCeiling(t *testing.T) {
 	})
 	// Relative gate, immune to the host's absolute speed: with batching on,
 	// a hit must not cost more than the unbatched pool's (the 20% slack
-	// absorbs scheduler noise; the measured gap is ~2.5x, so tripping this
-	// means the batching win is gone, not that the box was busy).
+	// absorbs scheduler noise). Neither configuration re-keys the victim
+	// index per reference, so on one goroutine the two measure within a few
+	// percent of each other (~240 vs ~250 ns/op on a 2-CPU container): the
+	// slack is noise margin, not a batching win.
 	if b, s := batched.NsPerOp(), sharded.NsPerOp(); float64(b) > 1.2*float64(s) {
 		t.Errorf("batched hit costs %d ns/op vs unbatched sharded %d ns/op; batching made the hit path slower", b, s)
 	}

@@ -362,7 +362,6 @@ func TestBackgroundWriterDrainsQuarantine(t *testing.T) {
 	p := NewWithConfig(d, 2, core.NewSyncReplacer(2, core.Options{}), Config{
 		WriterInterval: time.Millisecond,
 	})
-	p.Start()
 	defer p.Close()
 
 	pg, err := p.Fetch(a)
@@ -389,6 +388,9 @@ func TestBackgroundWriterDrainsQuarantine(t *testing.T) {
 		t.Fatalf("Quarantined = %d after failed write-back, want 1", got)
 	}
 	evictionsAtQuarantine := p.Stats().Evictions
+	// Start the writer only now: started earlier, it could drain the
+	// quarantine before the check above.
+	p.Start()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for p.Quarantined() != 0 {

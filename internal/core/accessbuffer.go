@@ -69,129 +69,37 @@ type batchEvent struct {
 // applyEvent replays one drained event against the replacer, returning 1
 // when a stale access was dropped and 0 otherwise. Reference events are
 // applied at their arrival stamp; advanceTo runs the retention purge
-// exactly as tick would have at that time.
-//
-// Within a batch, events mutate only the HIST table and the evictable set;
-// the victim index is left untouched and reconciled once per page by
-// batchEnd. A full profile of the hot hit path shows why: every
-// fetch/unpin cycle flips the page's evictability, and eagerly mirroring
-// each flip into the red-black victim index (a tree delete plus insert per
-// reference) dominates the per-reference cost — more than the locks the
-// buffering removes. The intermediate index states are unobservable:
-// applyBatch holds the table's lock for the whole batch, and every reader
-// of the index (Evict, the stats accessors) flushes all slots first, so
-// only the reconciled end-of-batch index is ever consulted. Since the
-// index is a pure function of the evictable set and the HIST table, the
-// reconciled result is bit-identical to what eager maintenance produces.
-//
-// The caller (applyBatch) must invoke batchEnd after the last event, under
-// the same lock acquisition.
+// exactly as tick would have at that time. Each event is the Replacer call
+// it buffers, and none of them re-keys the victim heap (histTable re-keys
+// lazily at eviction time), so a drain costs map and HIST updates only.
 func (r *Replacer) applyEvent(e batchEvent) int {
 	switch e.kind {
-	case evAccess:
+	case evAccess, evPin:
 		now := r.table.advanceTo(e.ts)
-		if h, ok := r.table.pages[e.page]; ok && h.resident {
-			r.stage(e.page, h)
-			r.table.touchResident(e.page, h, now, false)
-			return 0
+		h, ok := r.table.pages[e.page]
+		if !ok || !h.resident {
+			// The page left residency between enqueue and drain; applying
+			// the reference now would fabricate a phantom HIST block.
+			return 1
 		}
-		// The page left residency between enqueue and drain; applying the
-		// reference now would fabricate a phantom HIST block.
-		return 1
-	case evPin:
-		// Fused reference + SetEvictable(false): the pool's hit path emits
-		// one event for a pin that raises the count from zero instead of
-		// two. Equivalent to evAccess followed by evEvictOff.
-		now := r.table.advanceTo(e.ts)
-		if h, ok := r.table.pages[e.page]; ok && h.resident {
-			r.stage(e.page, h)
-			delete(r.evictable, e.page)
-			r.table.touchResident(e.page, h, now, false)
-			return 0
+		if e.kind == evPin {
+			r.table.setEvictable(h, false)
 		}
-		return 1
+		r.table.touchResident(h, now)
 	case evAdmit:
-		now := r.table.advanceTo(e.ts)
-		if h, ok := r.table.pages[e.page]; ok && h.resident {
-			// Readmitted by an interleaved reference; treat as a touch,
-			// exactly as unbatched RecordAccess would.
-			r.stage(e.page, h)
-			r.table.touchResident(e.page, h, now, false)
-			return 0
-		}
-		// Non-resident, hence never indexed: no staging needed before the
-		// block is created.
-		r.table.admit(e.page, now, false)
+		// A page readmitted by an interleaved reference is touched, exactly
+		// as unbatched RecordAccess would.
+		r.reference(e.page, r.table.advanceTo(e.ts))
 	case evEvictOn:
-		if h, ok := r.table.pages[e.page]; ok && h.resident && !r.evictable[e.page] {
-			r.stage(e.page, h)
-			r.evictable[e.page] = true
-		}
+		r.SetEvictable(e.page, true)
 	case evEvictOff:
-		if h, ok := r.table.pages[e.page]; ok && h.resident && r.evictable[e.page] {
-			r.stage(e.page, h)
-			delete(r.evictable, e.page)
-		}
+		r.SetEvictable(e.page, false)
 	case evRestore:
-		r.stage(e.page, nil)
 		r.Restore(e.page)
 	case evRemove:
-		if h, ok := r.table.pages[e.page]; ok && h.resident {
-			r.stage(e.page, h)
-			delete(r.evictable, e.page)
-			r.table.evictResident(e.page, h)
-		}
+		r.Remove(e.page)
 	}
 	return 0
-}
-
-// stage records page p's victim-index entry as it stands before the first
-// batched event mutates it, so batchEnd can reconcile the index against
-// the page's end-of-batch state. Idempotent within a batch. h is the
-// page's HIST block when the caller already holds it, nil to look it up
-// on demand (evictable ⇒ resident ⇒ the block exists, and its current key
-// is the one in the index).
-func (r *Replacer) stage(p policy.PageID, h *hist) {
-	if _, ok := r.staged[p]; ok {
-		return
-	}
-	var e stagedIndex
-	if r.evictable[p] {
-		if h == nil {
-			h = r.table.pages[p]
-		}
-		e = stagedIndex{key: h.key(p), indexed: true}
-	}
-	r.staged[p] = e
-}
-
-// batchEnd reconciles the victim index with the evictable set and HIST
-// table for every page staged during the batch: at most one delete and
-// one insert per page, however many events touched it. Must run under the
-// same lock acquisition as the batch's applyEvent calls.
-func (r *Replacer) batchEnd() {
-	if len(r.staged) == 0 {
-		return
-	}
-	for p, e := range r.staged {
-		h, ok := r.table.pages[p]
-		should := ok && h.resident && r.evictable[p]
-		if e.indexed {
-			if should {
-				if nk := h.key(p); nk != e.key {
-					r.table.index.Delete(e.key)
-					r.table.index.Set(nk, struct{}{})
-				}
-				continue
-			}
-			r.table.index.Delete(e.key)
-			continue
-		}
-		if should {
-			r.table.index.Set(h.key(p), struct{}{})
-		}
-	}
-	clear(r.staged)
 }
 
 // BatchTarget is a concurrent replacer that can absorb batches of
@@ -221,10 +129,9 @@ type BatchConfig struct {
 }
 
 // DefaultBatchCapacity is the per-slot capacity used when BatchConfig
-// leaves Capacity zero. Larger slots amortise the end-of-batch index
-// reconcile over more references per page (the dominant per-reference
-// cost; see applyEvent); staleness at decision points is unaffected, since
-// every eviction search and stats read flushes all slots first.
+// leaves Capacity zero. Larger slots amortise the target lock over more
+// events; staleness at decision points is unaffected, since every eviction
+// search and stats read flushes all slots first.
 const DefaultBatchCapacity = 256
 
 // BatchStats is a snapshot of a Batched replacer's drain counters.

@@ -52,9 +52,9 @@ func TestBatchedStaleAccessDropped(t *testing.T) {
 // restores, removals — through an unbatched SyncReplacer and a Batched one
 // with a small capacity (so full-slot drains, not only explicit flushes,
 // split the sequence at arbitrary points). Victim choices and final policy
-// counters must match exactly: batching with end-of-batch index
-// reconciliation is observationally equivalent to eager maintenance on any
-// serialisable history, with both §2.1 periods enabled.
+// counters must match exactly: batching is observationally equivalent to
+// the unbatched replacer on any serialisable history, with both §2.1
+// periods enabled.
 //
 // The generator honours the pool's contract — RecordAccess and RecordPin
 // are issued only for resident pages, misses go through RecordAdmission —
@@ -132,7 +132,7 @@ func TestBatchedMatchesUnbatchedRandomOps(t *testing.T) {
 			t.Errorf("seed %d: history size %d, want %d", seed, got, want)
 		}
 		// Drain the victim index on both sides: the full eviction order must
-		// agree, which pins the reconciled index contents and keys exactly.
+		// agree, which pins the victim index contents and keys exactly.
 		for {
 			v1, ok1 := plain.Evict()
 			v2, ok2 := batched.Evict()

@@ -15,13 +15,11 @@ func (c *LRUK) Resize(capacity int) {
 	}
 	c.capacity = capacity
 	for c.resident > c.capacity {
-		victim, ok := c.table.selectVictim(c.table.clock)
-		if !ok {
+		vh := c.table.selectVictim(c.table.clock)
+		if vh == nil {
 			return
 		}
-		vh := c.table.pages[victim]
-		c.table.index.Delete(vh.key(victim))
-		c.table.evictResident(victim, vh)
+		c.table.evictResident(vh)
 		c.resident--
 	}
 }

@@ -243,9 +243,7 @@ func (c *Cache[K, V]) Delete(key K) bool {
 	if e == nil || !e.live {
 		return false
 	}
-	h := s.table.pages[id]
-	s.table.index.Delete(h.key(id))
-	s.table.evictResident(id, h)
+	s.table.evictResident(s.table.pages[id])
 	e.live = false
 	var zero V
 	e.value = zero
@@ -342,8 +340,7 @@ func (s *cacheShard[K, V]) get(key K) (V, bool) {
 	if e == nil || !e.live {
 		return zero, false
 	}
-	h := s.table.pages[id]
-	s.table.touchResident(id, h, now, true)
+	s.table.touchResident(s.table.pages[id], now)
 	return e.value, true
 }
 
@@ -353,8 +350,7 @@ func (s *cacheShard[K, V]) put(key K, value V) (evicted uint64, admitted bool) {
 		e := s.byID[id]
 		if e != nil && e.live {
 			// Overwrite of a live entry is a reference.
-			h := s.table.pages[id]
-			s.table.touchResident(id, h, now, true)
+			s.table.touchResident(s.table.pages[id], now)
 			e.value = value
 			return 0, true
 		}
@@ -402,14 +398,12 @@ func (s *cacheShard[K, V]) makeRoom() (evicted uint64) {
 }
 
 func (s *cacheShard[K, V]) evictVictim() uint64 {
-	victim, ok := s.table.selectVictim(s.table.clock)
-	if !ok {
+	h := s.table.selectVictim(s.table.clock)
+	if h == nil {
 		return 0
 	}
-	h := s.table.pages[victim]
-	s.table.index.Delete(h.key(victim))
-	s.table.evictResident(victim, h)
-	e := s.byID[victim]
+	s.table.evictResident(h)
+	e := s.byID[h.page()]
 	e.live = false
 	var zero V
 	e.value = zero

@@ -7,10 +7,10 @@ import (
 	"repro/internal/policy"
 )
 
-// deindex removes key's page from the shard's victim index, simulating a
-// full shard in which no victim is selectable. The seed implementation
-// admitted regardless and the shard grew past capacity; the fixed put must
-// refuse admission instead.
+// deindex makes key's page unselectable as a victim, simulating a full
+// shard in which no victim is selectable. The seed implementation admitted
+// regardless and the shard grew past capacity; the fixed put must refuse
+// admission instead.
 func deindex(t *testing.T, c *Cache[string, int], key string) {
 	t.Helper()
 	s := &c.shards[0]
@@ -21,10 +21,10 @@ func deindex(t *testing.T, c *Cache[string, int], key string) {
 		t.Fatalf("deindex: key %q unknown", key)
 	}
 	h := s.table.pages[id]
-	if _, ok := s.table.index.Get(h.key(id)); !ok {
+	if !h.evictable || h.slot < 0 {
 		t.Fatalf("deindex: key %q not in the victim index", key)
 	}
-	s.table.index.Delete(h.key(id))
+	s.table.setEvictable(h, false)
 }
 
 func reindex(t *testing.T, c *Cache[string, int], key string) {
@@ -32,9 +32,7 @@ func reindex(t *testing.T, c *Cache[string, int], key string) {
 	s := &c.shards[0]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := s.byKey[key]
-	h := s.table.pages[id]
-	s.table.index.Set(h.key(id), struct{}{})
+	s.table.setEvictable(s.table.pages[s.byKey[key]], true)
 }
 
 // TestCachePutRefusedWithoutVictim is the capacity-overflow regression

@@ -14,16 +14,17 @@
 // The bookkeeping follows Figure 2.1 of the paper: per-page HIST blocks
 // with the times of the K most recent uncorrelated references, a LAST
 // timestamp for correlated-reference detection (§2.1.1), retained history
-// for non-resident pages (§2.1.2), and a search-tree victim index ordered
-// by Backward K-distance (§2.1.3).
+// for non-resident pages (§2.1.2), and a victim index ordered by Backward
+// K-distance (§2.1.3). The paper suggests a search tree for the index;
+// this one is a binary min-heap re-keyed lazily, at eviction time rather
+// than on every reference. That is exact because a page's key only grows
+// (see histTable), so a stale stored key is a lower bound on the true one.
 package core
 
-import (
-	"repro/internal/ordmap"
-	"repro/internal/policy"
-)
+import "repro/internal/policy"
 
-// hist is the history control block HIST(p) plus LAST(p) of Figure 2.1.
+// hist is the history control block HIST(p) plus LAST(p) of Figure 2.1,
+// together with the page's place in the victim heap.
 type hist struct {
 	// times holds the K most recent uncorrelated reference times:
 	// times[0] is HIST(p,1) (most recent), times[K-1] is HIST(p,K).
@@ -33,13 +34,25 @@ type hist struct {
 	// last is LAST(p): the most recent reference of any kind, correlated
 	// or not.
 	last policy.Tick
+	// ord is the key the victim heap last ordered this block by. Keys only
+	// grow, so ord is never above key(). ord.page is the block's page and
+	// never changes.
+	ord vkey
+	// slot is the block's position in the victim heap, -1 when absent.
+	slot int
 	// resident reports whether the page currently occupies a buffer frame.
 	resident bool
+	// evictable reports whether the page may be chosen as a victim: always
+	// for a resident LRUK or Cache page, pin count zero for the Replacer.
+	evictable bool
 }
 
 // kth returns HIST(p,K), the time of the K-th most recent uncorrelated
 // reference; zero encodes an infinite Backward K-distance.
 func (h *hist) kth() policy.Tick { return h.times[len(h.times)-1] }
+
+// page returns the page the block describes.
+func (h *hist) page() policy.PageID { return h.ord.page }
 
 // vkey is the victim-index key. Ascending order is eviction order: the
 // smallest HIST(p,K) is the maximal Backward K-distance (Definition 2.2),
@@ -61,8 +74,9 @@ func vkeyLess(a, b vkey) bool {
 	return a.page < b.page
 }
 
-func (h *hist) key(p policy.PageID) vkey {
-	return vkey{kth: h.kth(), hist1: h.times[0], page: p}
+// key returns the block's current victim-index key.
+func (h *hist) key() vkey {
+	return vkey{kth: h.kth(), hist1: h.times[0], page: h.ord.page}
 }
 
 // retired records a page that left residency at a given LAST time; the
@@ -74,8 +88,18 @@ type retired struct {
 }
 
 // histTable is the shared engine: history blocks for resident and retained
-// pages, the victim index over the evictable subset, and the retention
+// pages, the victim heap over the evictable subset, and the retention
 // queue. LRUK, Replacer and the cache shards all embed one.
+//
+// The victim heap is re-keyed lazily. A page's key (HIST(p,K), HIST(p,1),
+// page) never decreases while its block is resident: an uncorrelated
+// reference sets the new HIST(p,K) to the old HIST(p,K-1) plus the closed
+// burst's span, at least the old HIST(p,K), and HIST(p,1) to now; a
+// correlated reference moves only LAST. So the key a block was pushed
+// with stays a lower bound on its true key, and references and pin flips
+// need not touch the heap at all. selectVictim repairs the top on demand:
+// a top whose stored key is current is the exact minimum of every true key
+// in the heap.
 type histTable struct {
 	k     int
 	crp   policy.Tick // Correlated Reference Period (§2.1.1); 0 disables
@@ -83,8 +107,15 @@ type histTable struct {
 	clock policy.Tick
 
 	pages map[policy.PageID]*hist
-	// index orders the evictable resident pages by Backward K-distance.
-	index *ordmap.Map[vkey, struct{}]
+	// heap is the victim index: a binary min-heap of blocks ordered by
+	// their stored keys (hist.ord). Every evictable resident page is in it;
+	// a page pinned since it was pushed stays until it surfaces at the top.
+	heap []*hist
+	// aside is selectVictim's scratch list of pages set aside inside their
+	// Correlated Reference Period.
+	aside []*hist
+	// evictable counts the evictable resident pages.
+	evictable int
 	// retire is the lazily-validated retention queue, ordered by the LAST
 	// value the page had when it left residency. retireHead indexes its
 	// logical front; popped slack is compacted away (see retirePop) so a
@@ -112,14 +143,13 @@ func newHistTable(k int, crp, rip policy.Tick) *histTable {
 		crp:   crp,
 		rip:   rip,
 		pages: make(map[policy.PageID]*hist),
-		index: ordmap.New[vkey, struct{}](vkeyLess),
 	}
 }
 
 func (t *histTable) reset() {
 	t.clock = 0
 	t.pages = make(map[policy.PageID]*hist)
-	t.index.Clear()
+	t.heap, t.evictable = nil, 0
 	t.retire, t.retireHead = nil, 0
 	t.collapses, t.purges = 0, 0
 }
@@ -144,25 +174,21 @@ func (t *histTable) advanceTo(now policy.Tick) policy.Tick {
 }
 
 // touchResident processes a reference at time now to a page already in
-// buffer, per the top branch of Figure 2.1. indexed reports whether the
-// page is currently in the victim index (evictable); if so its key is
-// refreshed on an uncorrelated reference.
-func (t *histTable) touchResident(p policy.PageID, h *hist, now policy.Tick, indexed bool) {
+// buffer, per the top branch of Figure 2.1. The victim heap is left alone:
+// the reference only grows the page's key (see histTable).
+func (t *histTable) touchResident(h *hist, now policy.Tick) {
 	if t.crp > 0 && now-h.last <= t.crp {
 		// A correlated reference: only LAST moves (§2.1.1).
 		h.last = now
 		t.collapses++
 		if t.tracer != nil {
-			t.tracer.TraceCollapse(p, now)
+			t.tracer.TraceCollapse(h.page(), now)
 		}
 		return
 	}
 	// A new, uncorrelated reference: close the correlated period by
 	// crediting its span to the older history entries, collapsing the burst
 	// to a zero-width interval, exactly as Figure 2.1 does.
-	if indexed {
-		t.index.Delete(h.key(p))
-	}
 	span := h.last - h.times[0]
 	for i := t.k - 1; i >= 1; i-- {
 		if h.times[i-1] != 0 {
@@ -171,20 +197,17 @@ func (t *histTable) touchResident(p policy.PageID, h *hist, now policy.Tick, ind
 	}
 	h.times[0] = now
 	h.last = now
-	if indexed {
-		t.index.Set(h.key(p), struct{}{})
-	}
 }
 
 // admit installs page p as resident at time now, creating or shifting its
 // history control block per the bottom branch of Figure 2.1, and returns
-// its block. indexed controls whether the page enters the victim index
-// immediately (the Replacer defers that to SetEvictable).
-func (t *histTable) admit(p policy.PageID, now policy.Tick, indexed bool) *hist {
+// its block. evictable says whether the page may be chosen as a victim
+// straight away (the Replacer defers that to SetEvictable).
+func (t *histTable) admit(p policy.PageID, now policy.Tick, evictable bool) *hist {
 	h, ok := t.pages[p]
 	if !ok {
 		// "allocate HIST(p); for i := 2 to K do HIST(p,i) := 0"
-		h = &hist{times: make([]policy.Tick, t.k)}
+		h = &hist{times: make([]policy.Tick, t.k), ord: vkey{page: p}, slot: -1}
 		t.pages[p] = h
 	} else {
 		// History survives from a previous residency (§2.1.2): shift it so
@@ -196,19 +219,98 @@ func (t *histTable) admit(p policy.PageID, now policy.Tick, indexed bool) *hist 
 	h.times[0] = now
 	h.last = now
 	h.resident = true
-	if indexed {
-		t.index.Set(h.key(p), struct{}{})
-	}
+	t.setEvictable(h, evictable)
 	return h
 }
 
-// evictResident removes p from residency, retiring its history block into
-// the retention queue. The caller must already have removed it from the
-// victim index (or know it was never indexed).
-func (t *histTable) evictResident(p policy.PageID, h *hist) {
+// evictResident removes h's page from residency and from the victim heap,
+// retiring its history block into the retention queue.
+func (t *histTable) evictResident(h *hist) {
+	t.setEvictable(h, false)
+	if h.slot >= 0 {
+		t.unheap(h)
+	}
 	h.resident = false
 	if t.rip > 0 {
-		t.retire = append(t.retire, retired{page: p, last: h.last})
+		t.retire = append(t.retire, retired{page: h.page(), last: h.last})
+	}
+}
+
+// setEvictable marks resident block h evictable or not. A page turning
+// evictable is pushed under its current key unless it is still in the
+// heap; one turning unevictable stays put, and selectVictim drops it when
+// it surfaces.
+func (t *histTable) setEvictable(h *hist, evictable bool) {
+	if h.evictable == evictable {
+		return
+	}
+	h.evictable = evictable
+	if !evictable {
+		t.evictable--
+		return
+	}
+	t.evictable++
+	if h.slot < 0 {
+		t.push(h)
+	}
+}
+
+// push enters h into the victim heap under its current key.
+func (t *histTable) push(h *hist) {
+	h.ord = h.key()
+	h.slot = len(t.heap)
+	t.heap = append(t.heap, h)
+	t.siftUp(h.slot)
+}
+
+// unheap removes h from the victim heap.
+func (t *histTable) unheap(h *hist) {
+	i, last := h.slot, len(t.heap)-1
+	if i != last {
+		t.heapSwap(i, last)
+	}
+	t.heap[last] = nil
+	t.heap = t.heap[:last]
+	h.slot = -1
+	if i < last {
+		t.siftDown(i)
+		t.siftUp(i)
+	}
+}
+
+func (t *histTable) heapLess(i, j int) bool { return vkeyLess(t.heap[i].ord, t.heap[j].ord) }
+
+func (t *histTable) heapSwap(i, j int) {
+	t.heap[i], t.heap[j] = t.heap[j], t.heap[i]
+	t.heap[i].slot = i
+	t.heap[j].slot = j
+}
+
+func (t *histTable) siftUp(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !t.heapLess(i, parent) {
+			return
+		}
+		t.heapSwap(i, parent)
+		i = parent
+	}
+}
+
+func (t *histTable) siftDown(i int) {
+	for n := len(t.heap); ; {
+		least := i
+		if l := 2*i + 1; l < n && t.heapLess(l, least) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && t.heapLess(r, least) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		t.heapSwap(i, least)
+		i = least
 	}
 }
 
@@ -243,32 +345,48 @@ func (t *histTable) retirePop() retired {
 	return head
 }
 
-// selectVictim returns the evictable page with the maximal Backward
-// K-distance whose correlated reference period has expired
+// selectVictim returns the block of the evictable page with the maximal
+// Backward K-distance whose correlated reference period has expired
 // ("t - LAST(q) > Correlated Reference Period" in Figure 2.1). If every
-// indexed page is still inside its correlated period, the overall maximum
-// is returned anyway — the paper leaves this case open, and starving
-// admission would deadlock a real buffer pool. ok is false when the index
-// is empty.
-func (t *histTable) selectVictim(now policy.Tick) (victim policy.PageID, ok bool) {
-	if t.crp == 0 {
-		k, _, found := t.index.Min()
-		return k.page, found
-	}
-	found := false
-	t.index.Ascend(func(k vkey, _ struct{}) bool {
-		h := t.pages[k.page]
-		if now-h.last > t.crp {
-			victim, found = k.page, true
-			return false
+// evictable page is still inside its correlated period, the overall
+// maximum is returned anyway — the paper leaves this case open, and
+// starving admission would deadlock a real buffer pool. It returns nil
+// when nothing is evictable. The victim stays in the heap until the
+// caller's evictResident.
+//
+// The loop repairs the heap top until it is current: a page no longer
+// evictable is dropped (setEvictable pushes it back), a stale key is
+// refreshed and sunk. Pages inside their correlated period are set aside
+// in ascending key order and pushed back once the choice is made.
+func (t *histTable) selectVictim(now policy.Tick) *hist {
+	var victim *hist
+	for len(t.heap) > 0 {
+		h := t.heap[0]
+		if !h.evictable {
+			t.unheap(h)
+			continue
 		}
-		return true
-	})
-	if found {
-		return victim, true
+		if k := h.key(); k != h.ord {
+			h.ord = k
+			t.siftDown(0)
+			continue
+		}
+		if t.crp == 0 || now-h.last > t.crp {
+			victim = h
+			break
+		}
+		t.unheap(h)
+		t.aside = append(t.aside, h)
 	}
-	k, _, fallback := t.index.Min()
-	return k.page, fallback
+	if victim == nil && len(t.aside) > 0 {
+		victim = t.aside[0]
+	}
+	for i, h := range t.aside {
+		t.push(h)
+		t.aside[i] = nil
+	}
+	t.aside = t.aside[:0]
+	return victim
 }
 
 // purge is the paper's "asynchronous demon process" (§2.1.3) run inline:

@@ -23,7 +23,7 @@ func TestRetireQueueMemoryBounded(t *testing.T) {
 	for i := 0; i < burst; i++ {
 		p := policy.PageID(i)
 		h := tbl.admit(p, tbl.tick(), false)
-		tbl.evictResident(p, h)
+		tbl.evictResident(h)
 	}
 	if got := tbl.retireLen(); got != burst {
 		t.Fatalf("retire queue holds %d entries after burst, want %d", got, burst)
@@ -56,7 +56,7 @@ func TestRetireQueueBoundedUnderSteadyChurn(t *testing.T) {
 	for i := 0; i < 1<<16; i++ {
 		p := policy.PageID(i)
 		h := tbl.admit(p, tbl.tick(), false)
-		tbl.evictResident(p, h)
+		tbl.evictResident(h)
 		if c := cap(tbl.retire); c > maxCap {
 			maxCap = c
 		}
@@ -76,7 +76,7 @@ func TestDropOldestRetainedCompacts(t *testing.T) {
 	for i := 0; i < burst; i++ {
 		p := policy.PageID(i)
 		h := tbl.admit(p, tbl.tick(), false)
-		tbl.evictResident(p, h)
+		tbl.evictResident(h)
 	}
 	peak := cap(tbl.retire)
 	drops := 0
@@ -101,7 +101,7 @@ func TestRetireQueueStaleEntriesStillSkipped(t *testing.T) {
 	const rip = 10
 	tbl := newHistTable(1, 0, rip)
 	h := tbl.admit(1, tbl.tick(), false)
-	tbl.evictResident(1, h)
+	tbl.evictResident(h)
 	// Readmit before the entry expires: the queued entry goes stale.
 	tbl.admit(1, tbl.tick(), false)
 	for i := 0; i < 4*rip; i++ {

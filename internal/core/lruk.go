@@ -105,15 +105,12 @@ func (c *LRUK) Reset() {
 func (c *LRUK) Reference(p policy.PageID) bool {
 	now := c.table.tick()
 	if h, ok := c.table.pages[p]; ok && h.resident {
-		c.table.touchResident(p, h, now, true)
+		c.table.touchResident(h, now)
 		return true
 	}
 	if c.resident >= c.capacity {
-		victim, ok := c.table.selectVictim(now)
-		if ok {
-			vh := c.table.pages[victim]
-			c.table.index.Delete(vh.key(victim))
-			c.table.evictResident(victim, vh)
+		if vh := c.table.selectVictim(now); vh != nil {
+			c.table.evictResident(vh)
 			c.resident--
 		}
 	}

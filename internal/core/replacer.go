@@ -9,9 +9,9 @@ import (
 
 // Replacer is the buffer-pool-facing form of LRU-K: a victim selector over
 // pages whose residency, pinning and eviction are controlled externally by
-// a buffer-pool manager. Pinned pages (evictable=false) never appear in
-// the victim index; the pool marks a page evictable once its pin count
-// drops to zero.
+// a buffer-pool manager. Pinned pages (evictable=false) are never chosen
+// as victims; the pool marks a page evictable once its pin count drops to
+// zero.
 //
 // This is the shape a real database engine embeds (the paper's prototype
 // inside the Amdahl Huron buffer manager); the trace simulator uses the
@@ -22,8 +22,6 @@ import (
 type Replacer struct {
 	k     int
 	table *histTable
-	// evictable tracks which resident pages are currently in the index.
-	evictable map[policy.PageID]bool
 	// evictions counts victim selections (see PolicyStats).
 	evictions uint64
 	// clockSrc, when set, replaces the table's private tick with a shared
@@ -33,18 +31,6 @@ type Replacer struct {
 	// from it so a drained reference is applied at its arrival time rather
 	// than its drain time.
 	clockSrc *atomic.Int64
-	// staged, during a batch drain, records each touched page's victim-index
-	// entry as it stood when the batch began (see stage / batchEnd in
-	// accessbuffer.go): events apply with map and HIST updates only, and the
-	// index — a pure function of the evictable set and the HIST table — is
-	// reconciled once per page at batch end. Empty outside a drain.
-	staged map[policy.PageID]stagedIndex
-}
-
-// stagedIndex is a page's victim-index entry at batch start.
-type stagedIndex struct {
-	key     vkey
-	indexed bool
 }
 
 // NewReplacer returns an LRU-K replacer for a pool with the given history
@@ -54,22 +40,22 @@ func NewReplacer(k int, opts Options) *Replacer {
 		panic(fmt.Sprintf("core: K must be at least 1, got %d", k))
 	}
 	return &Replacer{
-		k:         k,
-		table:     newHistTable(k, opts.CorrelatedReferencePeriod, opts.RetainedInformationPeriod),
-		evictable: make(map[policy.PageID]bool),
-		staged:    make(map[policy.PageID]stagedIndex),
+		k:     k,
+		table: newHistTable(k, opts.CorrelatedReferencePeriod, opts.RetainedInformationPeriod),
 	}
 }
 
 // RecordAccess notes a reference to page p, which the pool has made (or is
 // about to make) resident. It advances the logical clock by one reference.
-func (r *Replacer) RecordAccess(p policy.PageID) {
-	now := r.tick()
+func (r *Replacer) RecordAccess(p policy.PageID) { r.reference(p, r.tick()) }
+
+// reference applies a reference to page p at time now.
+func (r *Replacer) reference(p policy.PageID, now policy.Tick) {
 	if h, ok := r.table.pages[p]; ok && h.resident {
-		r.table.touchResident(p, h, now, r.evictable[p])
+		r.table.touchResident(h, now)
 		return
 	}
-	// New residency; pages enter pinned, so not indexed yet.
+	// New residency; pages enter pinned, so not evictable yet.
 	r.table.admit(p, now, false)
 }
 
@@ -98,19 +84,8 @@ func (r *Replacer) tick() policy.Tick {
 // for pages the replacer has never seen are ignored, matching the
 // tolerance a pool needs during recovery paths.
 func (r *Replacer) SetEvictable(p policy.PageID, evictable bool) {
-	h, ok := r.table.pages[p]
-	if !ok || !h.resident {
-		return
-	}
-	if r.evictable[p] == evictable {
-		return
-	}
-	if evictable {
-		r.evictable[p] = true
-		r.table.index.Set(h.key(p), struct{}{})
-	} else {
-		delete(r.evictable, p)
-		r.table.index.Delete(h.key(p))
+	if h, ok := r.table.pages[p]; ok && h.resident {
+		r.table.setEvictable(h, evictable)
 	}
 }
 
@@ -120,7 +95,7 @@ func (r *Replacer) SetEvictable(p policy.PageID, evictable bool) {
 // not advance the clock and leaves the HIST block exactly as it was before
 // Evict removed it: the abandonment is not a page reference, and
 // fabricating one would corrupt the page's Backward K-distance. The page
-// re-enters the victim index only through a later SetEvictable.
+// becomes a victim candidate again only through a later SetEvictable.
 //
 // If the history block was purged between Evict and Restore (possible
 // under a short Retained Information Period), a fresh block is allocated
@@ -156,11 +131,11 @@ func (r *Replacer) Evict() (policy.PageID, bool) {
 			r.table.advanceTo(g)
 		}
 	}
-	victim, ok := r.table.selectVictim(r.table.clock)
-	if !ok {
+	h := r.table.selectVictim(r.table.clock)
+	if h == nil {
 		return policy.InvalidPage, false
 	}
-	h := r.table.pages[victim]
+	victim := h.page()
 	r.evictions++
 	if tr := r.table.tracer; tr != nil {
 		// Capture the Backward K-distance (Definition 2.1) that justified
@@ -168,9 +143,7 @@ func (r *Replacer) Evict() (policy.PageID, bool) {
 		kdist, finite := r.table.backwardKDistance(victim)
 		tr.TraceEvict(victim, r.table.clock, kdist, !finite)
 	}
-	r.table.index.Delete(h.key(victim))
-	delete(r.evictable, victim)
-	r.table.evictResident(victim, h)
+	r.table.evictResident(h)
 	return victim, true
 }
 
@@ -178,19 +151,13 @@ func (r *Replacer) Evict() (policy.PageID, bool) {
 // than evicted); its history is retired as on eviction, since a reallocated
 // page id may recur.
 func (r *Replacer) Remove(p policy.PageID) {
-	h, ok := r.table.pages[p]
-	if !ok || !h.resident {
-		return
+	if h, ok := r.table.pages[p]; ok && h.resident {
+		r.table.evictResident(h)
 	}
-	if r.evictable[p] {
-		r.table.index.Delete(h.key(p))
-		delete(r.evictable, p)
-	}
-	r.table.evictResident(p, h)
 }
 
 // Size returns the number of evictable pages.
-func (r *Replacer) Size() int { return len(r.evictable) }
+func (r *Replacer) Size() int { return r.table.evictable }
 
 // HistorySize returns the number of retained history control blocks.
 func (r *Replacer) HistorySize() int { return r.table.historyLen() }
@@ -207,6 +174,6 @@ func (r *Replacer) PolicyStats() PolicyStats {
 		Collapses:     r.table.collapses,
 		Purges:        r.table.purges,
 		HistoryBlocks: r.table.historyLen(),
-		Evictable:     len(r.evictable),
+		Evictable:     r.table.evictable,
 	}
 }

@@ -136,7 +136,6 @@ func (s *SyncReplacer) applyBatch(_ int, evs []batchEvent) (dropped int) {
 	for i := range evs {
 		dropped += s.r.applyEvent(evs[i])
 	}
-	s.r.batchEnd()
 	s.mu.Unlock()
 	return dropped
 }
@@ -320,7 +319,6 @@ func (r *ShardedReplacer) applyBatch(slot int, evs []batchEvent) (dropped int) {
 	for i := range evs {
 		dropped += s.r.applyEvent(evs[i])
 	}
-	s.r.batchEnd()
 	s.mu.Unlock()
 	return dropped
 }

@@ -70,7 +70,13 @@ func TestReplacerTracerAndStats(t *testing.T) {
 	if st.Evictions != 1 || st.Collapses != 1 || st.Purges != 1 {
 		t.Fatalf("stats = %+v, want 1 eviction, 1 collapse, 1 purge", st)
 	}
-	if st.HistoryBlocks != len(r.table.pages) || st.Evictable != len(r.evictable) {
+	evictable := 0
+	for _, h := range r.table.pages {
+		if h.resident && h.evictable {
+			evictable++
+		}
+	}
+	if st.HistoryBlocks != len(r.table.pages) || st.Evictable != evictable {
 		t.Fatalf("stats sizes %+v disagree with table", st)
 	}
 }

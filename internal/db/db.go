@@ -582,18 +582,13 @@ func (db *DB) UpdateCustomerCtx(ctx context.Context, custID int64, fill byte) er
 	for i := 8; i < len(rec); i++ {
 		rec[i] = fill
 	}
-	if err := db.customers.UpdateCtx(ctx, rid, rec); err != nil {
-		return err
-	}
 	if db.durable != nil {
 		// Durable acknowledgement: the record's page reaches the write-ahead
 		// log before the update returns, so a crash after the caller sees
 		// success cannot lose it.
-		if err := db.customers.FlushRecordPage(ctx, rid.Page); err != nil {
-			return fmt.Errorf("db: persisting update %d: %w", custID, err)
-		}
+		return db.customers.UpdateDurableCtx(ctx, rid, rec)
 	}
-	return nil
+	return db.customers.UpdateCtx(ctx, rid, rec)
 }
 
 // ScanCustomers sequentially scans the whole customer file (Example 1.2's

@@ -3,11 +3,14 @@ package db
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/leakcheck"
+	"repro/internal/stats"
 	"repro/internal/storage/file"
 )
 
@@ -196,4 +199,91 @@ func TestCrashBeforeFirstCheckpoint(t *testing.T) {
 		t.Fatal("db attached to a store with an unpublished catalog")
 	}
 	s.Close()
+}
+
+// TestConcurrentDurableUpdates is the regression test for durable UPDATE
+// under concurrency: the record page must stay pinned from the in-place
+// update until its image reaches the write-ahead log. Unpinned in between,
+// it can be evicted by the other connection's fetch, and the update fails
+// with "page not resident". Two writers share a two-frame pool, so
+// whenever one of them needs a frame the other's just-updated page is a
+// candidate victim. Every update must succeed, and every acknowledged
+// value must come back from a crash image taken after the last
+// acknowledgement.
+func TestConcurrentDurableUpdates(t *testing.T) {
+	leakcheck.Check(t)
+	origin := t.TempDir()
+	const (
+		customers = 200
+		writers   = 2
+		perWriter = 200
+	)
+	d := openDurable(t, origin)
+	if err := d.LoadCustomers(customers); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := file.Open(origin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each writer holds at most one pin at a time, so two frames never run
+	// out, and every miss must evict a page the other writer may be using.
+	d, err = Open(Config{Frames: 2, Backend: s})
+	if err != nil {
+		s.Close()
+		t.Fatal(err)
+	}
+
+	// Writer w owns the customers with id%writers == w, so the last value
+	// it acknowledged for a customer is the value recovery must return.
+	acked := make([]map[int64]byte, writers)
+	errs := make(chan error, writers*perWriter)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		acked[w] = make(map[int64]byte)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := stats.NewRNG(uint64(w) + 1)
+			for i := 0; i < perWriter; i++ {
+				id := int64(r.Intn(customers/writers)*writers + w)
+				fill := byte(i%250 + 1)
+				if err := d.UpdateCustomer(id, fill); err != nil {
+					errs <- fmt.Errorf("writer %d: %w", w, err)
+					continue
+				}
+				acked[w][id] = fill
+				// Lookups between updates keep the pool missing, so one
+				// writer's evictions overlap the other's updates.
+				for j := 0; j < 4; j++ {
+					if _, err := d.Lookup(int64(r.Intn(customers))); err != nil {
+						errs <- fmt.Errorf("writer %d: %w", w, err)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	img := crashImage(t, origin) // power cut after the last acknowledgement
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2 := openDurable(t, img)
+	defer d2.Close()
+	for _, m := range acked {
+		for id, fill := range m {
+			checkCustomer(t, d2, id, fill)
+		}
+	}
 }

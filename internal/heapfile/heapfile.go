@@ -134,20 +134,6 @@ func Attach(pool *bufferpool.Pool, pages []policy.PageID) (*File, error) {
 	return f, nil
 }
 
-// FlushRecordPage writes data page id back through the pool (if dirty),
-// holding the page's shared latch across the write so a concurrent
-// in-place Update cannot tear the flushed image. Durable deployments call
-// it to push an acknowledged record's page to the write-ahead log before
-// the acknowledgement leaves the server. The shared latch is compatible
-// with concurrent readers; writers of the same page wait, exactly as they
-// would behind a reader.
-func (f *File) FlushRecordPage(ctx context.Context, id policy.PageID) error {
-	lk := f.latchFor(id)
-	lk.RLock()
-	defer lk.RUnlock()
-	return f.pool.FlushPageCtx(ctx, id)
-}
-
 // Pages returns the ids of the file's data pages, in allocation order.
 // Experiments use this to classify references by page class.
 func (f *File) Pages() []policy.PageID {
@@ -332,9 +318,41 @@ func (f *File) Update(rid RID, rec []byte) error {
 // happens under the page's exclusive latch, so a concurrent GetCtx of the
 // same page sees either the old or the new bytes, never a torn record.
 func (f *File) UpdateCtx(ctx context.Context, rid RID, rec []byte) error {
+	pg, err := f.update(ctx, rid, rec)
+	if err != nil {
+		return err
+	}
+	pg.Unpin(true)
+	return nil
+}
+
+// UpdateDurableCtx is UpdateCtx for an acknowledged write: the page stays
+// pinned from the in-place update until its image has been written back,
+// which on a durable backend means it has reached the write-ahead log.
+// Unpinning in between would let a concurrent fetch evict the page and
+// leave the flush nothing to write. The page's shared latch is held across
+// the write so a concurrent in-place Update cannot tear the flushed image.
+func (f *File) UpdateDurableCtx(ctx context.Context, rid RID, rec []byte) error {
+	pg, err := f.update(ctx, rid, rec)
+	if err != nil {
+		return err
+	}
+	defer pg.Unpin(false)
+	lk := f.latchFor(rid.Page)
+	lk.RLock()
+	defer lk.RUnlock()
+	if err := pg.FlushCtx(ctx); err != nil {
+		return fmt.Errorf("heapfile update %v: %w", rid, err)
+	}
+	return nil
+}
+
+// update overwrites the record at rid in place and returns its page still
+// pinned; on error the page is already unpinned.
+func (f *File) update(ctx context.Context, rid RID, rec []byte) (*bufferpool.Page, error) {
 	pg, err := f.pool.FetchCtx(ctx, rid.Page)
 	if err != nil {
-		return fmt.Errorf("heapfile update %v: %w", rid, err)
+		return nil, fmt.Errorf("heapfile update %v: %w", rid, err)
 	}
 	lk := f.latchFor(rid.Page)
 	lk.Lock()
@@ -343,24 +361,23 @@ func (f *File) UpdateCtx(ctx context.Context, rid RID, rec []byte) error {
 	if rid.Slot >= numSlots {
 		lk.Unlock()
 		pg.Unpin(false)
-		return fmt.Errorf("%w: %v", ErrInvalidRID, rid)
+		return nil, fmt.Errorf("%w: %v", ErrInvalidRID, rid)
 	}
 	off, length := slotAt(data, rid.Slot)
 	if slotDead(off) {
 		lk.Unlock()
 		pg.Unpin(false)
-		return fmt.Errorf("%w: %v (deleted)", ErrInvalidRID, rid)
+		return nil, fmt.Errorf("%w: %v (deleted)", ErrInvalidRID, rid)
 	}
 	if len(rec) > int(length) {
 		lk.Unlock()
 		pg.Unpin(false)
-		return fmt.Errorf("%w: %d > %d bytes", ErrUpdateTooLarge, len(rec), length)
+		return nil, fmt.Errorf("%w: %d > %d bytes", ErrUpdateTooLarge, len(rec), length)
 	}
 	copy(data[off:off+uint16(len(rec))], rec)
 	setSlot(data, rid.Slot, off, uint16(len(rec)))
 	lk.Unlock()
-	pg.Unpin(true)
-	return nil
+	return pg, nil
 }
 
 // Delete removes the record at rid. Its space is reclaimed only when the

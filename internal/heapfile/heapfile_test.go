@@ -2,13 +2,18 @@ package heapfile
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bufferpool"
 	"repro/internal/core"
+	"repro/internal/policy"
+	"repro/internal/storage"
 	"repro/internal/storage/sim"
 )
 
@@ -297,4 +302,73 @@ func TestReuseHintRetiredWhenFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = rid
+}
+
+// evictOnRelease is a replacer that, once armed, answers the next
+// SetEvictable(page, true) by having another goroutine fetch a different
+// page into the one-frame pool, and waits until that fetch has evicted
+// page. It reproduces deterministically the interleaving in which a
+// concurrent fetch evicts a page the moment its pin count reaches zero.
+type evictOnRelease struct {
+	*core.SyncReplacer
+	pool  *bufferpool.Pool
+	page  policy.PageID
+	other policy.PageID
+	armed atomic.Bool
+	done  chan error
+}
+
+func (r *evictOnRelease) SetEvictable(p policy.PageID, evictable bool) {
+	r.SyncReplacer.SetEvictable(p, evictable)
+	if !evictable || p != r.page || !r.armed.CompareAndSwap(true, false) {
+		return
+	}
+	go func() {
+		pg, err := r.pool.Fetch(r.other)
+		if err == nil {
+			pg.Unpin(false)
+		}
+		r.done <- err
+	}()
+	for r.pool.Resident(p) {
+		runtime.Gosched()
+	}
+}
+
+// TestUpdateDurableKeepsPagePinned pins UpdateDurableCtx's contract: the
+// page stays pinned until its image is written back, so an eviction that
+// strikes as soon as the page becomes evictable finds the write already
+// done. Unpinning between the update and the flush fails the flush with
+// ErrPageNotResident (the durable UPDATE race).
+func TestUpdateDurableKeepsPagePinned(t *testing.T) {
+	d := sim.New(sim.ServiceModel{})
+	other := storage.MustAllocate(d)
+	r := &evictOnRelease{SyncReplacer: core.NewSyncReplacer(2, core.Options{}), other: other, done: make(chan error, 1)}
+	pool := bufferpool.New(d, 1, r)
+	r.pool = pool
+	f := New(pool)
+	rid, err := f.Insert([]byte("before"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.page = rid.Page
+
+	r.armed.Store(true)
+	if err := f.UpdateDurableCtx(context.Background(), rid, []byte("after!")); err != nil {
+		t.Fatalf("UpdateDurableCtx: %v", err)
+	}
+	if r.armed.Load() {
+		t.Fatal("the page never became evictable")
+	}
+	if err := <-r.done; err != nil {
+		t.Fatalf("evicting fetch: %v", err)
+	}
+	buf := make([]byte, storage.PageSize)
+	if err := d.Read(context.Background(), rid.Page, buf); err != nil {
+		t.Fatal(err)
+	}
+	off, n := slotAt(buf, rid.Slot)
+	if got := string(buf[off : off+n]); got != "after!" {
+		t.Errorf("stored record = %q, want the acknowledged %q", got, "after!")
+	}
 }

@@ -7,7 +7,8 @@
 #       replay), the cost of durability.
 #   BENCH_hotpath.json — the buffer pool's resident-hit path (serial vs
 #       sharded vs batched replacer, 1/4/8/16 goroutines, both backends),
-#       the §2.1 "negligible per-reference cost" trajectory.
+#       the §2.1 "negligible per-reference cost" trajectory, plus the
+#       replacer's own share of a hit and of a miss.
 #
 # Each suite keeps its latest snapshot at the stable name above, appends a
 # dated copy under BENCH_history/, and — when a previous snapshot existed —
@@ -110,5 +111,9 @@ save() {
 save storage BENCH_storage.json \
     go test -run '^$' -bench . -benchtime 200x -count 1 ./internal/storage/file/
 
-save hot-path BENCH_hotpath.json \
+hot_path() {
     go test -run '^$' -bench BenchmarkPoolHit -benchtime 1s -count 1 ./internal/bufferpool/
+    go test -run '^$' -bench 'BenchmarkReplacer(Hit|Miss)$' -benchtime 1s -count 1 ./internal/core/
+}
+
+save hot-path BENCH_hotpath.json hot_path
