@@ -100,9 +100,9 @@ trace-smoke:
 	sh scripts/trace_smoke.sh
 
 ## bench-save: run the tracked benchmark suites (storage backends,
-## pool hit path) and snapshot them into BENCH_storage.json and
-## BENCH_hotpath.json, filing dated copies under BENCH_history/ and
-## printing a ns/op diff against the previous snapshots.
+## pool hit path, resident-hit GET request) and snapshot them into
+## BENCH_storage.json and BENCH_hotpath.json, filing dated copies under
+## BENCH_history/ and printing a ns/op diff against the previous snapshots.
 bench-save:
 	sh scripts/bench_save.sh
 

@@ -4,10 +4,11 @@
 // package is the part that makes it production-shaped rather than an echo
 // loop:
 //
-//   - Admission control: requests pass through a bounded queue drained by a
-//     fixed worker pool. A full queue sheds immediately with StatusBusy —
-//     the reply costs no database work, so an overloaded server stays
-//     responsive instead of building an unbounded backlog.
+//   - Admission control: a request runs on the goroutine of the connection
+//     that read it, once it holds one of Workers run tokens; at most
+//     Workers+QueueDepth may be in flight. Beyond that it is shed at once
+//     with StatusBusy — the reply costs no database work, so an overloaded
+//     server stays responsive instead of building an unbounded backlog.
 //   - Deadline propagation: each request's time budget becomes a
 //     context.WithTimeout charged to every db operation, so the pool's
 //     coalesced-waiter abandonment and retry budgets (DESIGN.md §10) are
@@ -52,12 +53,12 @@ type Config struct {
 	// Addr is the TCP listen address; ":0" forms pick a free port
 	// (read it back from Addr() after Start).
 	Addr string
-	// Workers is the worker-pool size — the hard bound on concurrent
-	// database operations. Zero selects GOMAXPROCS.
+	// Workers bounds the requests executing at once; further admitted
+	// ones wait their turn in arrival order. Zero selects GOMAXPROCS.
 	Workers int
-	// QueueDepth is the admission queue capacity beyond the workers; a
-	// request arriving with the queue full is shed with StatusBusy. Zero
-	// selects 4x Workers.
+	// QueueDepth is how many admitted requests may wait beyond the Workers
+	// executing; a request arriving with Workers+QueueDepth already in
+	// flight is shed with StatusBusy. Zero selects 4x Workers.
 	QueueDepth int
 	// MaxFrame is the largest accepted request frame; larger length
 	// prefixes are rejected before any allocation. Zero selects
@@ -130,32 +131,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// task is one admitted request travelling from a connection handler to a
-// worker; reply is buffered so the worker never blocks publishing the
-// result.
-type task struct {
-	req   wire.Request
-	reply chan wire.Response
-	// enqueued is when the task entered the admission queue; the zero value
-	// means queue-wait instrumentation is off.
-	enqueued time.Time
-}
-
 // Server is the network page service over one DB.
 type Server struct {
 	cfg Config
 	db  *db.DB
 
-	ln    net.Listener
-	queue chan *task
-	done  chan struct{} // closed when drain begins
+	ln   net.Listener
+	done chan struct{} // closed when drain begins
+
+	// The admission gate: a request holds an admit token (one of
+	// Workers+QueueDepth) until it is answered and a run token (one of
+	// Workers) while it executes. A token is a send; blocked senders are
+	// woken FIFO, so waiting requests execute in arrival order.
+	admit chan struct{}
+	run   chan struct{}
 
 	mu    sync.Mutex // guards conns and the closed handshake below
 	conns map[net.Conn]struct{}
 
 	acceptWG sync.WaitGroup
 	connWG   sync.WaitGroup
-	workerWG sync.WaitGroup
 
 	closed   atomic.Bool
 	closeMu  sync.Mutex
@@ -200,6 +195,8 @@ func New(database *db.DB, cfg Config) *Server {
 		conns: make(map[net.Conn]struct{}),
 		done:  make(chan struct{}),
 	}
+	s.admit = make(chan struct{}, s.cfg.Workers+s.cfg.QueueDepth)
+	s.run = make(chan struct{}, s.cfg.Workers)
 	if v := s.cfg.View; v != nil {
 		s.viewState.Store(&ringView{view: *v, ring: cluster.NewRing(*v)})
 	}
@@ -220,9 +217,9 @@ func (s *Server) registerObs(r *obs.Registry) {
 			obs.Labels{"op": strings.ToLower(op.String())})
 	}
 	s.queueWait = r.LatencyHistogram("lruk_server_queue_wait_seconds",
-		"Time admitted requests spent in the admission queue before a worker picked them up.", nil)
-	r.GaugeFunc("lruk_server_queue_depth", "Requests sitting in the admission queue right now.", nil,
-		func() float64 { return float64(len(s.queue)) })
+		"Time admitted requests spent waiting for an execution slot.", nil)
+	r.GaugeFunc("lruk_server_queue_depth", "Admitted requests waiting for an execution slot right now.", nil,
+		func() float64 { return float64(s.waiting()) })
 	r.CounterFunc("lruk_server_conns_total", "Connections accepted.", nil,
 		func() float64 { return float64(s.connsAccepted.Load()) })
 	r.CounterFunc("lruk_server_requests_total", "Well-framed requests read.", nil,
@@ -251,7 +248,7 @@ func (s *Server) registerObs(r *obs.Registry) {
 		})
 }
 
-// Start binds the listener and launches the worker pool and accept loop.
+// Start binds the listener and launches the accept loop.
 func (s *Server) Start() error {
 	if s.ln != nil {
 		return errors.New("server: already started")
@@ -264,11 +261,6 @@ func (s *Server) Start() error {
 		return fmt.Errorf("server: listen %s: %w", s.cfg.Addr, err)
 	}
 	s.ln = ln
-	s.queue = make(chan *task, s.cfg.QueueDepth)
-	for i := 0; i < s.cfg.Workers; i++ {
-		s.workerWG.Add(1)
-		go s.worker()
-	}
 	s.acceptWG.Add(1)
 	go s.acceptLoop()
 	return nil
@@ -279,8 +271,8 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
 // Close drains and stops the server: stop accepting, nudge idle
 // connections off their reads, let in-flight requests finish within
-// DrainTimeout, then hard-close whatever remains and reap the worker pool.
-// It is idempotent and does not close the database.
+// DrainTimeout, then hard-close whatever remains. It is idempotent and
+// does not close the database.
 func (s *Server) Close() error {
 	s.closeMu.Lock()
 	defer s.closeMu.Unlock()
@@ -324,11 +316,6 @@ func (s *Server) Close() error {
 		s.mu.Unlock()
 		<-drained
 	}
-
-	// All producers are gone; closing the queue lets the workers run it
-	// dry and exit.
-	close(s.queue)
-	s.workerWG.Wait()
 	s.acceptWG.Wait()
 	s.closeErr = err
 	return err
@@ -394,10 +381,13 @@ func (s *Server) handleConn(c net.Conn) {
 	br := bufio.NewReader(c)
 	bw := bufio.NewWriter(c)
 	for {
+		// Arm the idle deadline before checking for drain: Close sets closed
+		// before it nudges deadlines, so either the check sees it or the
+		// nudge lands after (and overrides) this re-arm.
+		_ = c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		if s.closed.Load() {
 			return
 		}
-		_ = c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		payload, err := wire.ReadFrame(br, s.cfg.MaxFrame)
 		if err != nil {
 			// An oversized frame gets a reply before the cut; EOF, timeouts,
@@ -414,41 +404,49 @@ func (s *Server) handleConn(c net.Conn) {
 			return
 		}
 		s.requests.Add(1)
-
-		var resp wire.Response
-		switch {
-		case s.closed.Load():
-			resp = wire.Response{Status: wire.StatusShutdown, Body: []byte("server draining")}
-		default:
-			t := &task{req: req, reply: make(chan wire.Response, 1)}
-			if s.queueWait != nil {
-				t.enqueued = time.Now()
-			}
-			select {
-			case s.queue <- t:
-				resp = <-t.reply
-			default:
-				// Admission queue full: shed now, cheaply. This is the
-				// whole point of bounding the queue — the reply path does
-				// no database work, so overload cannot snowball.
-				s.shed.Add(1)
-				if rec := s.cfg.Spans; rec != nil && s.cfg.Sampler.ShouldTail(0, true) {
-					// Sheds are always tail-worthy: a zero-duration request
-					// span marks where the cluster turned the request away.
-					traceID := req.Trace.TraceID
-					if traceID == 0 {
-						traceID = rec.NewTraceID()
-					}
-					rec.Emit(traceID, rec.NewSpanID(), req.Trace.SpanID,
-						obs.SpanRequest, time.Now(), 0, int64(req.Op))
-				}
-				resp = wire.Response{Status: wire.StatusBusy, Body: []byte("server busy: admission queue full")}
-			}
-		}
-		if err := s.reply(c, bw, resp); err != nil {
+		if err := s.reply(c, bw, s.dispatch(req)); err != nil {
 			return
 		}
 	}
+}
+
+// dispatch admits req and runs it on the calling goroutine: shed with no
+// admit token free, else wait for a run token (the queue wait), execute,
+// and return both tokens before the reply is written.
+func (s *Server) dispatch(req wire.Request) wire.Response {
+	if s.closed.Load() {
+		return wire.Response{Status: wire.StatusShutdown, Body: []byte("server draining")}
+	}
+	select {
+	case s.admit <- struct{}{}:
+	default:
+		// Gate full: shed now, cheaply — the reply does no database work,
+		// so overload cannot snowball.
+		s.shed.Add(1)
+		if rec := s.cfg.Spans; rec != nil && s.cfg.Sampler.ShouldTail(0, true) {
+			// Sheds are always tail-worthy: a zero-duration request span
+			// marks where the cluster turned the request away.
+			traceID := req.Trace.TraceID
+			if traceID == 0 {
+				traceID = rec.NewTraceID()
+			}
+			rec.Emit(traceID, rec.NewSpanID(), req.Trace.SpanID,
+				obs.SpanRequest, time.Now(), 0, int64(req.Op))
+		}
+		return wire.Response{Status: wire.StatusBusy, Body: []byte("server busy: admission queue full")}
+	}
+	enqueued := time.Now()
+	s.run <- struct{}{}
+	resp := s.serve(req, enqueued)
+	<-s.run
+	<-s.admit
+	return resp
+}
+
+// waiting is the number of admitted requests waiting for a run token
+// (clamped: the two lengths are read apart).
+func (s *Server) waiting() int {
+	return max(len(s.admit)-len(s.run), 0)
 }
 
 // reply writes one response frame under the write deadline and records its
@@ -456,36 +454,22 @@ func (s *Server) handleConn(c net.Conn) {
 func (s *Server) reply(c net.Conn, bw *bufio.Writer, resp wire.Response) error {
 	s.statusCounts[resp.Status].Add(1)
 	_ = c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	if err := wire.WriteFrame(bw, wire.AppendResponse(nil, resp)); err != nil {
-		return err
-	}
+	wire.WriteResponse(bw, resp)
 	return bw.Flush()
 }
 
-func (s *Server) worker() {
-	defer s.workerWG.Done()
-	for t := range s.queue {
-		picked := time.Now()
-		if !t.enqueued.IsZero() {
-			s.queueWait.ObserveSince(t.enqueued)
-		}
-		t.reply <- s.serve(t, picked)
-	}
-}
-
-// serve runs one admitted request with its tracing envelope: the request
-// span (parented to the client's wire span), a queue-wait child, the
-// MOVED point event, a latency exemplar carrying the trace id, and the
-// tail-sampling pass for slow or failed requests the head draw skipped.
-func (s *Server) serve(t *task, picked time.Time) wire.Response {
+// serve runs one request, admitted at enqueued and now holding a run
+// token, with its tracing envelope: the request span (parented to the
+// client's wire span), a queue-wait child, the MOVED point event, a
+// latency exemplar carrying the trace id, and the tail-sampling pass for
+// slow or failed requests the head draw skipped.
+func (s *Server) serve(req wire.Request, enqueued time.Time) wire.Response {
+	picked := time.Now()
+	s.queueWait.Observe(picked.Sub(enqueued).Nanoseconds())
 	rec := s.cfg.Spans
-	wtc := t.req.Trace
+	wtc := req.Trace
 	sampled := rec != nil && wtc.TraceID != 0 &&
 		(wtc.Sampled || s.cfg.Sampler.Sample(wtc.TraceID))
-	enqueued := t.enqueued
-	if enqueued.IsZero() {
-		enqueued = picked
-	}
 	var reqSpan obs.Span
 	if sampled {
 		reqSpan = rec.StartAt(obs.TraceContext{TraceID: wtc.TraceID, SpanID: wtc.SpanID, Sampled: true},
@@ -494,7 +478,7 @@ func (s *Server) serve(t *task, picked time.Time) wire.Response {
 			obs.SpanQueueWait, enqueued, picked.Sub(enqueued), 0)
 	}
 
-	resp := s.execute(t.req, reqSpan.Context())
+	resp := s.execute(req, reqSpan.Context())
 	dur := time.Since(picked)
 
 	exemplarTrace := uint64(0)
@@ -502,9 +486,9 @@ func (s *Server) serve(t *task, picked time.Time) wire.Response {
 		exemplarTrace = wtc.TraceID
 		if resp.Status == wire.StatusMoved {
 			rec.Emit(wtc.TraceID, rec.NewSpanID(), reqSpan.ID(),
-				obs.SpanMoved, picked, 0, int64(t.req.Op))
+				obs.SpanMoved, picked, 0, int64(req.Op))
 		}
-		reqSpan.Finish(int64(t.req.Op))
+		reqSpan.Finish(int64(req.Op))
 	} else if rec != nil && s.cfg.Sampler.ShouldTail(dur, failedStatus(resp.Status)) {
 		// Tail bias: the head draw said no, but the request turned out slow
 		// or broken. Reconstruct a minimal two-span trace after the fact so
@@ -514,11 +498,11 @@ func (s *Server) serve(t *task, picked time.Time) wire.Response {
 			traceID = rec.NewTraceID()
 		}
 		root := rec.NewSpanID()
-		rec.Emit(traceID, root, wtc.SpanID, obs.SpanRequest, enqueued, time.Since(enqueued), int64(t.req.Op))
+		rec.Emit(traceID, root, wtc.SpanID, obs.SpanRequest, enqueued, time.Since(enqueued), int64(req.Op))
 		rec.Emit(traceID, rec.NewSpanID(), root, obs.SpanQueueWait, enqueued, picked.Sub(enqueued), 0)
 		exemplarTrace = traceID
 	}
-	if hist := s.histFor(t.req.Op); hist != nil {
+	if hist := s.histFor(req.Op); hist != nil {
 		hist.ObserveTraced(dur.Nanoseconds(), exemplarTrace)
 	}
 	return resp

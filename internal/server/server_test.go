@@ -22,7 +22,7 @@ import (
 
 // startServer opens a database, loads customers, and serves it on a random
 // loopback port, tearing everything down at cleanup.
-func startServer(t *testing.T, dbCfg db.Config, srvCfg Config, customers int) (*Server, *db.DB) {
+func startServer(t testing.TB, dbCfg db.Config, srvCfg Config, customers int) (*Server, *db.DB) {
 	t.Helper()
 	database, err := db.Open(dbCfg)
 	if err != nil {
@@ -49,7 +49,7 @@ func startServer(t *testing.T, dbCfg db.Config, srvCfg Config, customers int) (*
 	return srv, database
 }
 
-func dial(t *testing.T, srv *Server) *client.Client {
+func dial(t testing.TB, srv *Server) *client.Client {
 	t.Helper()
 	cl, err := client.Dial(srv.Addr().String())
 	if err != nil {
@@ -300,7 +300,7 @@ func TestGracefulDrain(t *testing.T) {
 		_, err := cl.Get(context.Background(), 200)
 		inflight <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // let the request reach a worker
+	time.Sleep(10 * time.Millisecond) // let the request reach the disk
 
 	if err := srv.Close(); err != nil {
 		t.Fatalf("close: %v", err)

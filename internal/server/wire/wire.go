@@ -58,6 +58,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -121,7 +122,7 @@ type Status uint8
 // these: an open disk circuit breaker (bufferpool.ErrDiskUnavailable)
 // becomes StatusUnavailable, an expired request context StatusDeadline, a
 // closed database StatusShutdown; StatusBusy is minted by the server
-// itself when the admission queue is full, without touching the database.
+// itself when the admission gate is full, without touching the database.
 const (
 	StatusOK          Status = 0
 	StatusBusy        Status = 1 // shed at admission: queue full
@@ -379,6 +380,17 @@ type Response struct {
 func AppendResponse(dst []byte, resp Response) []byte {
 	dst = append(dst, byte(resp.Status))
 	return append(dst, resp.Body...)
+}
+
+// WriteResponse frames resp straight into w, the same bytes as
+// WriteFrame(w, EncodeResponse(resp)) without building the payload first.
+// The caller flushes; w keeps any write error for Flush to report.
+func WriteResponse(w *bufio.Writer, resp Response) {
+	var hdr [frameHeader + 1]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(1+len(resp.Body)))
+	hdr[frameHeader] = byte(resp.Status)
+	_, _ = w.Write(hdr[:])
+	_, _ = w.Write(resp.Body)
 }
 
 // EncodeResponse encodes the response payload.

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -189,6 +190,65 @@ func TestResponseRoundTrip(t *testing.T) {
 		t.Errorf("unknown status: err = %v, want ErrBadResponse", err)
 	}
 }
+
+// TestWriteResponseRoundTrip frames responses straight into a buffered
+// writer and reads them back through ReadFrame + DecodeResponse: the frame
+// must match WriteFrame(EncodeResponse(resp)) byte for byte, from an empty
+// body up to the largest body a default reader accepts, including bodies
+// far larger than the writer's buffer.
+func TestWriteResponseRoundTrip(t *testing.T) {
+	cases := []Response{
+		{Status: StatusOK},
+		{Status: StatusNotFound, Body: []byte("no such customer")},
+		{Status: StatusOK, Body: bytes.Repeat([]byte{0xEE}, 2000)},
+		{Status: StatusOK, Body: bytes.Repeat([]byte{0x5A}, MaxFrameDefault-1)},
+	}
+	var got, want bytes.Buffer
+	bw := bufio.NewWriterSize(&got, 64)
+	for _, resp := range cases {
+		WriteResponse(bw, resp)
+		if err := WriteFrame(&want, EncodeResponse(resp)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("WriteResponse frames differ from WriteFrame(EncodeResponse): %d vs %d bytes", got.Len(), want.Len())
+	}
+	for _, resp := range cases {
+		payload, err := ReadFrame(&got, MaxFrameDefault)
+		if err != nil {
+			t.Fatalf("%v with %d-byte body: read: %v", resp.Status, len(resp.Body), err)
+		}
+		dec, err := DecodeResponse(payload)
+		if err != nil {
+			t.Fatalf("%v with %d-byte body: decode: %v", resp.Status, len(resp.Body), err)
+		}
+		if dec.Status != resp.Status || !bytes.Equal(dec.Body, resp.Body) {
+			t.Errorf("round trip: got %v with %d-byte body, want %v with %d bytes",
+				dec.Status, len(dec.Body), resp.Status, len(resp.Body))
+		}
+	}
+	if got.Len() != 0 {
+		t.Errorf("%d trailing bytes after the last frame", got.Len())
+	}
+
+	// A failed write is kept for Flush, whichever part of the frame hit it.
+	for _, resp := range cases {
+		bw := bufio.NewWriterSize(failWriter{}, 64)
+		WriteResponse(bw, resp)
+		if err := bw.Flush(); !errors.Is(err, io.ErrClosedPipe) {
+			t.Errorf("%d-byte body: flush after failed write: err = %v, want io.ErrClosedPipe", len(resp.Body), err)
+		}
+	}
+}
+
+// failWriter fails every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer

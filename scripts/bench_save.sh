@@ -7,8 +7,10 @@
 #       replay), the cost of durability.
 #   BENCH_hotpath.json — the buffer pool's resident-hit path (serial vs
 #       sharded vs batched replacer, 1/4/8/16 goroutines, both backends),
-#       the §2.1 "negligible per-reference cost" trajectory, plus the
-#       replacer's own share of a hit and of a miss.
+#       the §2.1 "negligible per-reference cost" trajectory, the
+#       replacer's own share of a hit and of a miss, and a whole
+#       resident-hit GET over loopback TCP (BenchmarkServerGet, with
+#       allocations).
 #
 # Each suite keeps its latest snapshot at the stable name above, appends a
 # dated copy under BENCH_history/, and — when a previous snapshot existed —
@@ -25,8 +27,8 @@ trap 'rm -f "$raw" "$prev"' EXIT INT TERM
 
 # to_json <raw-bench-output> <out.json>: convert `go test -bench` text
 # output into a stable JSON document — one object per benchmark with
-# iterations, ns/op and (where reported) MB/s; goos/cpu lines go to
-# metadata.
+# iterations, ns/op and (where reported) MB/s, B/op and allocs/op;
+# goos/cpu lines go to metadata.
 to_json() {
     awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
     BEGIN { n = 0 }
@@ -35,10 +37,15 @@ to_json() {
     /^cpu:/    { sub(/^cpu: /, ""); cpu = $0 }
     /^Benchmark/ {
         name = $1; iters = $2; ns = $3
-        mbs = ""
-        for (i = 4; i <= NF; i++) if ($(i) == "MB/s") mbs = $(i - 1)
+        mbs = ""; bop = ""; allocs = ""
+        for (i = 4; i <= NF; i++) {
+            if ($(i) == "MB/s") mbs = $(i - 1)
+            if ($(i) == "B/op") bop = $(i - 1)
+            if ($(i) == "allocs/op") allocs = $(i - 1)
+        }
         line = sprintf("  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", name, iters, ns)
         if (mbs != "") line = line sprintf(", \"mb_per_s\": %s", mbs)
+        if (bop != "") line = line sprintf(", \"bytes_per_op\": %s, \"allocs_per_op\": %s", bop, allocs)
         line = line "}"
         bench[n++] = line
     }
@@ -114,6 +121,7 @@ save storage BENCH_storage.json \
 hot_path() {
     go test -run '^$' -bench BenchmarkPoolHit -benchtime 1s -count 1 ./internal/bufferpool/
     go test -run '^$' -bench 'BenchmarkReplacer(Hit|Miss)$' -benchtime 1s -count 1 ./internal/core/
+    go test -run '^$' -bench BenchmarkServerGet -benchmem -benchtime 1s -count 1 ./internal/server/
 }
 
 save hot-path BENCH_hotpath.json hot_path
