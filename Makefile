@@ -34,13 +34,13 @@ fmt-check:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-## bench-pool: serial vs latch-partitioned buffer pool scalability.
+## bench-pool: serial seed pool vs the latch-partitioned production pool.
 bench-pool:
 	$(GO) test -bench BenchmarkPoolParallel -run '^$$' ./internal/bufferpool/
 
-## bench-hit: the resident-hit-path regression gate — runs the batched
-## pool's hit loop via testing.Benchmark and fails if ns/op exceeds the
-## ceiling or falls behind the unbatched sharded pool (DESIGN.md §14).
+## bench-hit: the resident-hit-path regression gate — runs the production
+## pool's hit loop (core.SyncReplacer, as db.Open builds it) via
+## testing.Benchmark and fails if ns/op exceeds the ceiling (DESIGN.md §14).
 bench-hit:
 	$(GO) test -count=1 -run TestHitPathCeiling -v ./internal/bufferpool/
 

@@ -90,7 +90,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		workers   = fs.Int("workers", 0, "max requests executing at once (0 = GOMAXPROCS)")
 		queue     = fs.Int("queue", 0, "admitted requests that may wait beyond -workers before BUSY (0 = 4x workers)")
 		recCache  = fs.Int("record-cache", 0, "record cache size in records (0 = off; see DESIGN.md §11 caveat)")
-		accBatch  = fs.Int("access-batch", 0, "replacer access-buffer capacity in events per slot (0 = off; see DESIGN.md §14)")
 		drain     = fs.Duration("drain", 5*time.Second, "graceful drain window on shutdown")
 		maxReq    = fs.Duration("max-request-timeout", 30*time.Second, "cap on any request's time budget")
 		obsAddr   = fs.String("obs-addr", "", "observability HTTP address serving /metrics, /trace and /debug/pprof (empty = off)")
@@ -184,7 +183,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Frames:            *frames,
 		K:                 *k,
 		RecordCacheSize:   *recCache,
-		AccessBatch:       *accBatch,
 		Obs:               reg,
 		EvictionTraceSize: *traceSize,
 		ScrubInterval:     *scrubIval,

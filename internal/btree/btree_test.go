@@ -16,7 +16,7 @@ import (
 func newTree(t *testing.T, frames, maxLeaf, maxInternal int) *Tree {
 	t.Helper()
 	d := sim.New(sim.ServiceModel{})
-	pool := bufferpool.New(d, frames, core.NewReplacer(2, core.Options{}))
+	pool := bufferpool.New(d, frames, core.NewSyncReplacer(2, core.Options{}))
 	tr, err := NewWithOrder(pool, maxLeaf, maxInternal)
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +30,7 @@ func ridFor(k int64) heapfile.RID {
 
 func TestNewValidation(t *testing.T) {
 	d := sim.New(sim.ServiceModel{})
-	pool := bufferpool.New(d, 8, core.NewReplacer(1, core.Options{}))
+	pool := bufferpool.New(d, 8, core.NewSyncReplacer(1, core.Options{}))
 	if _, err := NewWithOrder(nil, 4, 4); err == nil {
 		t.Error("nil pool accepted")
 	}
@@ -305,7 +305,7 @@ func TestQuickInsertLookup(t *testing.T) {
 // as the pool can hold a root-to-leaf path plus split allocations.
 func TestSurvivesTinyPool(t *testing.T) {
 	d := sim.New(sim.ServiceModel{})
-	pool := bufferpool.New(d, 8, core.NewReplacer(2, core.Options{}))
+	pool := bufferpool.New(d, 8, core.NewSyncReplacer(2, core.Options{}))
 	tr, err := NewWithOrder(pool, 4, 4)
 	if err != nil {
 		t.Fatal(err)

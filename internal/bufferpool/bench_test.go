@@ -47,9 +47,8 @@ func BenchmarkPoolParallel(b *testing.B) {
 		{"serial", func(d *storage.Faulty) pool {
 			return serialBench{NewSerial(d, frames, core.NewReplacer(2, core.Options{}))}
 		}},
-		{"sharded", func(d *storage.Faulty) pool {
-			return poolBench{NewWithConfig(d, frames,
-				core.NewShardedReplacer(16, 2, core.Options{}), Config{})}
+		{"pool", func(d *storage.Faulty) pool {
+			return poolBench{New(d, frames, core.NewSyncReplacer(2, core.Options{}))}
 		}},
 	}
 	for _, workers := range []int{1, 4, 8, 16} {
@@ -121,7 +120,9 @@ func BenchmarkPoolParallel(b *testing.B) {
 // requires to be negligible on every reference; BENCH_hotpath.json tracks
 // its ns/op trajectory at 1/4/8/16 goroutines over both storage backends
 // (the backend only serves the warm-up, but its stripe geometry shapes
-// the pool).
+// the pool). impl=serial is the single-latch oracle; impl=pool is the
+// production pool on core.SyncReplacer, so its contended rows time the
+// one replacer mutex every hit takes.
 //
 //	go test -bench BenchmarkPoolHit -benchtime 2s ./internal/bufferpool/
 func BenchmarkPoolHit(b *testing.B) {
@@ -139,14 +140,8 @@ func BenchmarkPoolHit(b *testing.B) {
 		{"serial", func(d storage.Backend) pool {
 			return serialBench{NewSerial(d, frames, core.NewReplacer(2, core.Options{}))}
 		}},
-		{"sharded", func(d storage.Backend) pool {
-			return poolBench{NewWithConfig(d, frames,
-				core.NewShardedReplacer(16, 2, core.Options{}), Config{})}
-		}},
-		{"batched", func(d storage.Backend) pool {
-			return poolBench{NewWithConfig(d, frames,
-				core.NewBatched(core.NewShardedReplacer(16, 2, core.Options{}), core.BatchConfig{}),
-				Config{})}
+		{"pool", func(d storage.Backend) pool {
+			return poolBench{New(d, frames, core.NewSyncReplacer(2, core.Options{}))}
 		}},
 	}
 	backends := []struct {

@@ -25,12 +25,12 @@ func newFaultyDisk(model sim.ServiceModel) *storage.Faulty {
 func newPool(t *testing.T, frames, k int) (*Pool, *storage.Faulty) {
 	t.Helper()
 	d := newFaultyDisk(sim.ServiceModel{})
-	return New(d, frames, core.NewReplacer(k, core.Options{})), d
+	return New(d, frames, core.NewSyncReplacer(k, core.Options{})), d
 }
 
 func TestNewValidation(t *testing.T) {
 	d := newFaultyDisk(sim.ServiceModel{})
-	r := core.NewReplacer(2, core.Options{})
+	r := core.NewSyncReplacer(2, core.Options{})
 	for _, f := range []func(){
 		func() { New(nil, 4, r) },
 		func() { New(d, 0, r) },
@@ -233,14 +233,50 @@ func TestDeletePage(t *testing.T) {
 	if p.Resident(id) {
 		t.Error("deleted page still resident")
 	}
+	if got := p.replacer.Size(); got != 0 {
+		t.Errorf("deleted page still evictable: Size = %d", got)
+	}
 	if d.NumPages() != 0 {
 		t.Error("deleted page still on disk")
 	}
+	if _, err := p.Fetch(id); err == nil {
+		t.Error("fetch of deallocated page succeeded")
+	}
+	checkFrameInvariant(t, p)
 	// The freed frame is reusable.
 	a, _ := p.NewPage()
 	b, _ := p.NewPage()
 	a.Unpin(false)
 	b.Unpin(false)
+}
+
+// TestDeletePageAfterFetch deletes a page that entered the pool through
+// Fetch — the replacer admission path — rather than through NewPage: the
+// page must leave the replacer's evictable set, must not be fetchable
+// again, and its frame must return to the free list.
+func TestDeletePageAfterFetch(t *testing.T) {
+	d := sim.New(sim.ServiceModel{})
+	id := storage.MustAllocate(d)
+	r := core.NewSyncReplacer(2, core.Options{})
+	p := New(d, 4, r)
+	pg, err := p.Fetch(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg.Unpin(false)
+	if err := p.DeletePage(id); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Size(); got != 0 {
+		t.Errorf("deleted page still evictable: Size = %d", got)
+	}
+	if _, err := p.Fetch(id); err == nil {
+		t.Error("fetch of deallocated page succeeded")
+	}
+	free, tabled := frameAccounting(p)
+	if free+tabled != p.NumFrames() {
+		t.Errorf("frame accounting after delete: %d free + %d resident != %d", free, tabled, p.NumFrames())
+	}
 }
 
 func TestStatsHitRatio(t *testing.T) {
@@ -278,7 +314,7 @@ func TestLRUKReplacerBeatsLRUInPool(t *testing.T) {
 		for i := range cold {
 			cold[i] = storage.MustAllocate(d)
 		}
-		p := New(d, 25, core.NewReplacer(k, core.Options{}))
+		p := New(d, 25, core.NewSyncReplacer(k, core.Options{}))
 		r := stats.NewRNG(99)
 		for i := 0; i < 30000; i++ {
 			var id policy.PageID
@@ -326,7 +362,7 @@ func TestConcurrentFetchUnpin(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := New(d, 16, core.NewReplacer(2, core.Options{}))
+	p := New(d, 16, core.NewSyncReplacer(2, core.Options{}))
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {

@@ -56,35 +56,27 @@ func stormPlan(seed uint64, poison policy.PageID) *storage.FaultPlan {
 // restore, coalesced-error, abandonment, and breaker paths from many
 // goroutines at once.
 //
-// The storm runs over each backend — the in-memory simulator and the
-// durable file store — crossed with each replacer configuration: the
-// eagerly-locked ShardedReplacer and the same replacer behind the Batched
-// access buffers. The invariants are configuration-agnostic: the fault
-// wrapper, retry, breaker, and quarantine sit above the storage interface
-// and must reconcile identically whether the pages live in RAM or in a
-// WAL-protected page file — and the exact ledger reconciliation must
-// survive buffered policy events draining mid-storm (stale buffered hits
-// for evicted pages, flush-on-evict racing the blackout, restore after a
-// poisoned write-back landing on an undrained slot).
+// The storm runs on core.SyncReplacer, the replacer production builds,
+// in two configurations — plain LRU-2, and LRU-2 with both §2.1 periods
+// set so correlated-reference collapses and retention purges race the
+// failed write-backs and their restores — over each backend: the
+// in-memory simulator and the durable file store.
+// The invariants are backend-agnostic: the fault wrapper, retry, breaker,
+// and quarantine sit above the storage interface and must reconcile
+// identically whether the pages live in RAM or in a WAL-protected page
+// file.
 func TestChaosFaultStorm(t *testing.T) {
-	replacers := []struct {
+	configs := []struct {
 		name string
-		mk   func() Replacer
+		opts core.Options
 	}{
-		{"sharded", func() Replacer {
-			return core.NewShardedReplacer(8, 2, core.Options{})
-		}},
-		{"batched", func() Replacer {
-			// Small slots so the storm forces many mid-flight drains rather
-			// than flush-only draining.
-			return core.NewBatched(core.NewShardedReplacer(8, 2, core.Options{}),
-				core.BatchConfig{Capacity: 32})
-		}},
+		{"plain", core.Options{}},
+		{"periods", core.Options{CorrelatedReferencePeriod: 3, RetainedInformationPeriod: 200}},
 	}
-	for _, r := range replacers {
-		t.Run(r.name, func(t *testing.T) {
+	for _, c := range configs {
+		t.Run(c.name, func(t *testing.T) {
 			t.Run("sim", func(t *testing.T) {
-				runChaosFaultStorm(t, sim.New(sim.ServiceModel{}), true, r.mk())
+				runChaosFaultStorm(t, sim.New(sim.ServiceModel{}), true, c.opts)
 			})
 			t.Run("file", func(t *testing.T) {
 				s, err := file.Open(t.TempDir())
@@ -97,13 +89,13 @@ func TestChaosFaultStorm(t *testing.T) {
 				// fault was injected for, which would break the exact fault-ledger
 				// reconciliation below. Already-cancelled contexts stay in: they are
 				// rejected before the disk is touched.
-				runChaosFaultStorm(t, s, false, r.mk())
+				runChaosFaultStorm(t, s, false, c.opts)
 			})
 		})
 	}
 }
 
-func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool, replacer Replacer) {
+func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool, opts core.Options) {
 	const (
 		goroutines = 8
 		pages      = 128
@@ -132,6 +124,7 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool, 
 	poison := ids[0]
 	d.SetFaults(stormPlan(seed, poison))
 
+	replacer := core.NewSyncReplacer(2, opts)
 	p := NewWithConfig(d, frames, replacer, Config{
 		Shards: 16,
 		Retry: RetryConfig{
@@ -299,6 +292,9 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool, 
 	if s.Hits == 0 || s.Misses == 0 || s.WriteErrors == 0 || s.ReadErrors == 0 ||
 		s.WriteBacks == 0 || s.ReadRetries == 0 || s.ReadsRejected == 0 {
 		t.Errorf("storm did not exercise all paths: %+v", s)
+	}
+	if ps := replacer.PolicyStats(); opts != (core.Options{}) && (ps.Collapses == 0 || ps.Purges == 0) {
+		t.Errorf("storm did not exercise collapse+purge paths: %+v", ps)
 	}
 
 	if err := p.Close(); err != nil {

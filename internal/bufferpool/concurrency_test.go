@@ -12,6 +12,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/stats"
 	"repro/internal/storage"
+	"repro/internal/storage/file"
 	"repro/internal/storage/sim"
 )
 
@@ -85,9 +86,13 @@ func TestMissCoalescingSingleRead(t *testing.T) {
 
 // TestPoolMatchesSerialOnDeterministicTrace replays one deterministic
 // single-threaded trace (fetches, dirtying writes, flushes) through the
-// single-latch Serial pool and the concurrent Pool: every counter — pool
-// and disk — must agree exactly, because a mutex-wrapped replacer makes
-// identical decisions on a serialisable history.
+// single-latch Serial pool and the concurrent Pool at several latch
+// partition counts: every counter — pool, policy and disk — must agree
+// exactly, because a mutex-wrapped replacer makes identical decisions on
+// a serialisable history. The trace runs on the simulator with the §2.1
+// periods off, then under "periods" with both periods on over each storage
+// backend, where it also exercises correlated-reference collapses and
+// retention purges.
 func TestPoolMatchesSerialOnDeterministicTrace(t *testing.T) {
 	const (
 		frames = 50
@@ -117,16 +122,12 @@ func TestPoolMatchesSerialOnDeterministicTrace(t *testing.T) {
 	// disk stats at the trace end, and only the I/O counts after FlushAll.
 	type outcome struct {
 		pool       Stats
+		policy     core.PolicyStats
 		trace      storage.Stats
 		finalReads uint64
 		finalWrite uint64
 	}
-	runSerial := func() outcome {
-		d := newFaultyDisk(sim.ServiceModel{})
-		for i := 0; i < pages; i++ {
-			d.Allocate()
-		}
-		p := NewSerial(d, frames, core.NewReplacer(2, core.Options{}))
+	replay := func(t *testing.T, d storage.Backend, p fetcherPool, policyStats func() core.PolicyStats) outcome {
 		for _, st := range script {
 			pg, err := p.Fetch(st.id)
 			if err != nil {
@@ -146,52 +147,154 @@ func TestPoolMatchesSerialOnDeterministicTrace(t *testing.T) {
 		if err := p.FlushAll(); err != nil {
 			t.Fatal(err)
 		}
-		return outcome{p.Stats(), trace, d.Stats().Reads, d.Stats().Writes}
-	}
-	runConcurrent := func(shards int) outcome {
-		d := newFaultyDisk(sim.ServiceModel{})
-		for i := 0; i < pages; i++ {
-			d.Allocate()
-		}
-		p := NewWithConfig(d, frames, core.NewSyncReplacer(2, core.Options{}), Config{Shards: shards})
-		for _, st := range script {
-			pg, err := p.Fetch(st.id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.dirty {
-				pg.Data()[0]++
-			}
-			pg.Unpin(st.dirty)
-			if st.flush {
-				if err := p.FlushPage(st.id); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		trace := d.Stats()
-		if err := p.FlushAll(); err != nil {
-			t.Fatal(err)
-		}
-		return outcome{p.Stats(), trace, d.Stats().Reads, d.Stats().Writes}
+		return outcome{p.PoolStats(), policyStats(), trace, d.Stats().Reads, d.Stats().Writes}
 	}
 
-	want := runSerial()
-	for _, shards := range []int{1, 8, 64} {
-		got := runConcurrent(shards)
-		if got.pool != want.pool {
-			t.Errorf("shards=%d: pool stats %+v, want %+v", shards, got.pool, want.pool)
+	openSim := func(t *testing.T) storage.Backend { return newFaultyDisk(sim.ServiceModel{}) }
+	openFile := func(t *testing.T) storage.Backend {
+		s, err := file.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got.trace != want.trace {
-			t.Errorf("shards=%d: disk stats %+v, want %+v", shards, got.trace, want.trace)
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	check := func(t *testing.T, openBackend func(t *testing.T) storage.Backend, opts core.Options) {
+		open := func() storage.Backend {
+			d := openBackend(t)
+			for i := 0; i < pages; i++ {
+				storage.MustAllocate(d)
+			}
+			return d
 		}
-		if got.finalReads != want.finalReads || got.finalWrite != want.finalWrite {
-			t.Errorf("shards=%d: post-flush I/O counts (%d,%d), want (%d,%d)",
-				shards, got.finalReads, got.finalWrite, want.finalReads, want.finalWrite)
+		d := open()
+		sr := core.NewReplacer(2, opts)
+		want := replay(t, d, serialFetcher{NewSerial(d, frames, sr)}, sr.PolicyStats)
+		if opts != (core.Options{}) && (want.policy.Collapses == 0 || want.policy.Purges == 0) {
+			t.Errorf("trace did not exercise collapse+purge paths: %+v", want.policy)
 		}
-		if got.pool.Coalesced != 0 {
-			t.Errorf("shards=%d: single-threaded replay coalesced %d misses", shards, got.pool.Coalesced)
+		for _, shards := range []int{1, 8, 64} {
+			d := open()
+			r := core.NewSyncReplacer(2, opts)
+			got := replay(t, d, poolFetcher{NewWithConfig(d, frames, r, Config{Shards: shards})}, r.PolicyStats)
+			if got.pool != want.pool {
+				t.Errorf("shards=%d: pool stats %+v, want %+v", shards, got.pool, want.pool)
+			}
+			if got.policy != want.policy {
+				t.Errorf("shards=%d: policy stats %+v, want %+v", shards, got.policy, want.policy)
+			}
+			if got.trace != want.trace {
+				t.Errorf("shards=%d: disk stats %+v, want %+v", shards, got.trace, want.trace)
+			}
+			if got.finalReads != want.finalReads || got.finalWrite != want.finalWrite {
+				t.Errorf("shards=%d: post-flush I/O counts (%d,%d), want (%d,%d)",
+					shards, got.finalReads, got.finalWrite, want.finalReads, want.finalWrite)
+			}
+			if got.pool.Coalesced != 0 {
+				t.Errorf("shards=%d: single-threaded replay coalesced %d misses", shards, got.pool.Coalesced)
+			}
 		}
+	}
+	periods := core.Options{CorrelatedReferencePeriod: 3, RetainedInformationPeriod: 200}
+	t.Run("sim", func(t *testing.T) { check(t, openSim, core.Options{}) })
+	t.Run("periods", func(t *testing.T) {
+		t.Run("sim", func(t *testing.T) { check(t, openSim, periods) })
+		t.Run("file", func(t *testing.T) { check(t, openFile, periods) })
+	})
+}
+
+// fetcherPool is the slice of the Serial/Pool surface the differential
+// trace needs, plus a uniform stats accessor.
+type fetcherPool interface {
+	Fetch(id policy.PageID) (pageHandle, error)
+	FlushPage(id policy.PageID) error
+	FlushAll() error
+	PoolStats() Stats
+}
+
+type pageHandle interface {
+	Data() []byte
+	Unpin(dirty bool)
+}
+
+type serialFetcher struct{ p *Serial }
+
+func (s serialFetcher) Fetch(id policy.PageID) (pageHandle, error) {
+	pg, err := s.p.Fetch(id)
+	if err != nil {
+		return nil, err
+	}
+	return pg, nil
+}
+func (s serialFetcher) FlushPage(id policy.PageID) error { return s.p.FlushPage(id) }
+func (s serialFetcher) FlushAll() error                  { return s.p.FlushAll() }
+func (s serialFetcher) PoolStats() Stats                 { return s.p.Stats() }
+
+type poolFetcher struct{ p *Pool }
+
+func (s poolFetcher) Fetch(id policy.PageID) (pageHandle, error) {
+	pg, err := s.p.Fetch(id)
+	if err != nil {
+		return nil, err
+	}
+	return pg, nil
+}
+func (s poolFetcher) FlushPage(id policy.PageID) error { return s.p.FlushPage(id) }
+func (s poolFetcher) FlushAll() error                  { return s.p.FlushAll() }
+func (s poolFetcher) PoolStats() Stats                 { return s.p.Stats() }
+
+// TestFastHitProbe pins down the latch-free hit path: once a page has been
+// fetched and published to its shard's hot slots, a repeat fetch must be
+// served by the lock-free probe (FastHits advances) with ordinary hit
+// accounting, and eviction must invalidate the published frame so the
+// probe cannot resurrect a page the pool evicted.
+func TestFastHitProbe(t *testing.T) {
+	d := sim.New(sim.ServiceModel{})
+	var ids []policy.PageID
+	for i := 0; i < 8; i++ {
+		ids = append(ids, storage.MustAllocate(d))
+	}
+	p := NewWithConfig(d, 4, core.NewSyncReplacer(2, core.Options{}), Config{Shards: 4})
+
+	warm := func(id policy.PageID) {
+		pg, err := p.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg.Unpin(false)
+	}
+	warm(ids[0])
+	if got := p.FastHits(); got != 0 {
+		t.Fatalf("cold fetch counted %d fast hits, want 0", got)
+	}
+	warm(ids[0])
+	if got := p.FastHits(); got != 1 {
+		t.Fatalf("repeat fetch counted %d fast hits, want 1 (probe missed)", got)
+	}
+	s := p.Stats()
+	if s.Hits != 1 || s.Misses != 1 {
+		t.Fatalf("stats %+v, want 1 hit 1 miss", s)
+	}
+
+	// Evict ids[0] by filling the pool, then fetch it again: the probe must
+	// not serve the stale frame (its epoch advanced and the page moved on).
+	for _, id := range ids[1:] {
+		warm(id)
+	}
+	pg, err := p.Fetch(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pg.Data(); got == nil {
+		t.Fatal("nil data from re-fetched page")
+	}
+	pg.Unpin(false)
+	s = p.Stats()
+	if s.Evictions == 0 {
+		t.Fatalf("fill did not evict: %+v", s)
+	}
+	if s.Hits+s.Misses != uint64(len(ids)+2) {
+		t.Fatalf("accounting drifted: %+v over %d fetches", s, len(ids)+2)
 	}
 }
 
@@ -227,7 +330,7 @@ func TestPoolConcurrentStressRace(t *testing.T) {
 	setupWrites := d.Stats().Writes
 
 	p := NewWithConfig(d, frames,
-		core.NewShardedReplacer(8, 2, core.Options{}), Config{Shards: 16})
+		core.NewSyncReplacer(2, core.Options{}), Config{Shards: 16})
 	var fetched atomic.Uint64
 	writes := make([]uint64, goroutines)
 	var wg sync.WaitGroup
@@ -436,8 +539,7 @@ func TestWriteBackVictimNotReadableStale(t *testing.T) {
 	}
 }
 
-// TestConfigValidation covers the new constructor's shard checks and the
-// automatic wrapping of non-concurrent replacers.
+// TestConfigValidation covers the constructor's shard checks.
 func TestConfigValidation(t *testing.T) {
 	d := newFaultyDisk(sim.ServiceModel{})
 	func() {
@@ -446,20 +548,9 @@ func TestConfigValidation(t *testing.T) {
 				t.Error("non-power-of-two shard count accepted")
 			}
 		}()
-		NewWithConfig(d, 4, core.NewReplacer(2, core.Options{}), Config{Shards: 3})
+		NewWithConfig(d, 4, core.NewSyncReplacer(2, core.Options{}), Config{Shards: 3})
 	}()
-	// A plain (non-concurrent) replacer must be wrapped, not used bare.
-	p := New(d, 4, core.NewReplacer(2, core.Options{}))
-	if _, ok := p.replacer.(ConcurrentReplacer); !ok {
-		t.Error("plain replacer not wrapped for concurrency")
-	}
-	// A concurrent replacer passes through unwrapped.
-	sr := core.NewSyncReplacer(2, core.Options{})
-	p2 := New(d, 4, sr)
-	if p2.replacer != Replacer(sr) {
-		t.Error("concurrent replacer was needlessly wrapped")
-	}
-	if p2.NumShards() < 1 {
+	if p := New(d, 4, core.NewSyncReplacer(2, core.Options{})); p.NumShards() < 1 {
 		t.Error("NumShards not positive")
 	}
 }

@@ -313,7 +313,7 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 		storage.CorruptRule{Probability: 0.05},
 	))
 
-	p := NewWithConfig(c, frames, core.NewShardedReplacer(8, 2, core.Options{}), Config{
+	p := NewWithConfig(c, frames, core.NewSyncReplacer(2, core.Options{}), Config{
 		Shards: 16,
 		// The breaker is armed but effectively untrippable: this storm
 		// reconciles ledgers exactly, and breaker rejections would make
@@ -429,6 +429,41 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 		time.Sleep(time.Millisecond)
 	}
 
+	// Data: every non-quarantined page must hold its owner's last committed
+	// value; every quarantined page must refuse with the corruption error.
+	poisoned := make(map[policy.PageID]bool)
+	for _, id := range p.PoisonedPages() {
+		poisoned[id] = true
+	}
+	for i, id := range ids {
+		if poisoned[id] {
+			if _, err := p.Fetch(id); !storage.IsCorrupt(err) {
+				t.Errorf("quarantined page %d served: %v", id, err)
+			}
+			continue
+		}
+		pg, err := p.Fetch(id)
+		if err != nil {
+			t.Errorf("post-storm fetch of clean page %d: %v", id, err)
+			continue
+		}
+		if got := binary.LittleEndian.Uint64(pg.Data()); got != committed[i] {
+			t.Errorf("page %d: holds %d, owner committed %d (lost update)", id, got, committed[i])
+		}
+		pg.Unpin(false)
+	}
+
+	free, tabled := frameAccounting(p)
+	if free+tabled != p.NumFrames() {
+		t.Errorf("frame accounting: %d free + %d resident != %d frames", free, tabled, p.NumFrames())
+	}
+	// Close stops the background scrubber before the ledgers are read: a
+	// scrub read still in flight is already in the disk's read count but
+	// not yet in ScrubPages. Nothing is dirty, so Close writes nothing.
+	if err := p.Close(); err != nil {
+		t.Errorf("Close after storm: %v", err)
+	}
+
 	s, ds, cs := p.Stats(), c.Stats(), c.CorruptStats()
 
 	// Injection conservation: every taint ever laid is either cleared
@@ -459,38 +494,6 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 	if s.Hits == 0 || s.Misses == 0 || s.CorruptDetected == 0 || s.CorruptRepaired == 0 ||
 		s.CorruptQuarantined == 0 || s.ScrubPages == 0 || s.ScrubCorrupt == 0 {
 		t.Errorf("storm did not exercise all integrity paths: %+v", s)
-	}
-
-	// Data: every non-quarantined page must hold its owner's last committed
-	// value; every quarantined page must refuse with the corruption error.
-	poisoned := make(map[policy.PageID]bool)
-	for _, id := range p.PoisonedPages() {
-		poisoned[id] = true
-	}
-	for i, id := range ids {
-		if poisoned[id] {
-			if _, err := p.Fetch(id); !storage.IsCorrupt(err) {
-				t.Errorf("quarantined page %d served: %v", id, err)
-			}
-			continue
-		}
-		pg, err := p.Fetch(id)
-		if err != nil {
-			t.Errorf("post-storm fetch of clean page %d: %v", id, err)
-			continue
-		}
-		if got := binary.LittleEndian.Uint64(pg.Data()); got != committed[i] {
-			t.Errorf("page %d: holds %d, owner committed %d (lost update)", id, got, committed[i])
-		}
-		pg.Unpin(false)
-	}
-
-	free, tabled := frameAccounting(p)
-	if free+tabled != p.NumFrames() {
-		t.Errorf("frame accounting: %d free + %d resident != %d frames", free, tabled, p.NumFrames())
-	}
-	if err := p.Close(); err != nil {
-		t.Errorf("Close after storm: %v", err)
 	}
 }
 

@@ -99,6 +99,18 @@ func TestWriteBackFaultSkipsVictim(t *testing.T) {
 		t.Errorf("Quarantined = %d, want 1", got)
 	}
 	checkFrameInvariant(t, p)
+	// The restored victim is still a hit, with its in-memory update.
+	pg, err = p.Fetch(a)
+	if err != nil {
+		t.Fatalf("restored victim not fetchable: %v", err)
+	}
+	if string(pg.Data()[:8]) != "precious" {
+		t.Errorf("restored victim lost its in-memory update: %q", pg.Data()[:8])
+	}
+	pg.Unpin(false)
+	if got := p.Stats().Hits; got != s.Hits+1 {
+		t.Errorf("re-fetch of restored victim: Hits = %d, want %d (phantom eviction)", got, s.Hits+1)
+	}
 
 	// The fault clears; the quarantined page flushes and leaves quarantine,
 	// with its in-memory modification intact on disk.
@@ -115,6 +127,81 @@ func TestWriteBackFaultSkipsVictim(t *testing.T) {
 	}
 	if string(buf[:8]) != "precious" {
 		t.Errorf("committed update lost across the fault: %q", buf[:8])
+	}
+}
+
+// TestRestoreAfterFailedWriteback restores a dirty victim whose write-back
+// fails while the retained information period is set. The restore must
+// reinstate the page's existing HIST block — never fabricate a phantom
+// one — and the pool/replacer state must stay consistent enough for the
+// page to be fetched, flushed and evicted normally once the fault clears.
+// Run under -race: the background writer drains the quarantine
+// concurrently.
+func TestRestoreAfterFailedWriteback(t *testing.T) {
+	d := storage.WithFaults(sim.New(sim.ServiceModel{}))
+	const frames = 4
+	var ids []policy.PageID
+	for i := 0; i < frames+2; i++ {
+		ids = append(ids, storage.MustAllocate(d))
+	}
+	victim := ids[0]
+	p := New(d, frames, core.NewSyncReplacer(2, core.Options{RetainedInformationPeriod: 100}))
+
+	// Dirty the victim-to-be and fill the rest of the pool.
+	pg, err := p.Fetch(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg.Data()[0] = 0xAB
+	pg.Unpin(true)
+	for _, id := range ids[1:frames] {
+		pg, err := p.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg.Unpin(false)
+	}
+
+	// Every write to the victim fails: the eviction sweep claims it, fails
+	// the write-back, restores it, and takes a clean page instead.
+	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{victim}}))
+	pg, err = p.Fetch(ids[frames])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg.Unpin(false)
+	s := p.Stats()
+	if s.WriteErrors == 0 {
+		t.Fatalf("eviction did not fail the victim's write-back: %+v", s)
+	}
+
+	// The restored page must still be resident with its dirty data intact.
+	pg, err = p.Fetch(victim)
+	if err != nil {
+		t.Fatalf("restored victim not fetchable: %v", err)
+	}
+	if pg.Data()[0] != 0xAB {
+		t.Fatalf("restored victim lost its in-memory update: %x", pg.Data()[0])
+	}
+	pg.Unpin(false)
+	if hits := p.Stats().Hits; hits == 0 {
+		t.Error("re-fetch of restored victim was not a hit (phantom eviction)")
+	}
+
+	// Heal the disk; the page must flush and then evict normally.
+	d.SetFaults(nil)
+	if err := p.FlushAll(); err != nil {
+		t.Fatalf("flush after healing: %v", err)
+	}
+	for _, id := range ids[1:] {
+		pg, err := p.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg.Unpin(false)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

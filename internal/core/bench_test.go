@@ -17,7 +17,7 @@ const replacerFrames = 404
 func BenchmarkReplacerHit(b *testing.B) {
 	r := NewReplacer(2, Options{})
 	for p := policy.PageID(0); p < replacerFrames; p++ {
-		r.RecordAdmission(p)
+		r.RecordAccess(p)
 		r.SetEvictable(p, true)
 	}
 	rng := stats.NewRNG(1)
@@ -44,7 +44,7 @@ func BenchmarkReplacerMiss(b *testing.B) {
 	var out []policy.PageID
 	for p := policy.PageID(0); p < 2*replacerFrames; p++ {
 		if p < replacerFrames {
-			r.RecordAdmission(p)
+			r.RecordAccess(p)
 			r.SetEvictable(p, true)
 		} else {
 			out = append(out, p)
@@ -58,7 +58,7 @@ func BenchmarkReplacerMiss(b *testing.B) {
 		}
 		p := out[i%len(out)]
 		out[i%len(out)] = v
-		r.RecordAdmission(p)
+		r.RecordAccess(p)
 		r.SetEvictable(p, true)
 	}
 }

@@ -34,7 +34,7 @@ func FuzzLRUKMatchesFigure21(f *testing.F) {
 }
 
 // FuzzReplacerMatchesScan drives the pool-facing Replacer with arbitrary
-// RecordAccess, RecordAdmission, SetEvictable, Evict, Remove and Restore
+// RecordAccess, SetEvictable, Evict, Remove and Restore
 // calls and checks every victim against a brute-force scan: the least
 // (HIST(p,K), HIST(p,1), page) over evictable resident pages, restricted
 // to pages past their Correlated Reference Period whenever one is. After
@@ -58,25 +58,23 @@ func FuzzReplacerMatchesScan(f *testing.F) {
 		r := NewReplacer(k, Options{CorrelatedReferencePeriod: crp, RetainedInformationPeriod: rip})
 		for i := 0; i+1 < len(ops); i += 2 {
 			p := policy.PageID(ops[i+1] % 16)
-			switch ops[i] % 7 {
+			switch ops[i] % 6 {
 			case 0:
 				r.RecordAccess(p)
 			case 1:
-				r.RecordAdmission(p)
-			case 2:
 				r.SetEvictable(p, true)
-			case 3:
+			case 2:
 				r.SetEvictable(p, false)
-			case 4:
+			case 3:
 				want, wantOK := scanVictim(r.table)
 				got, ok := r.Evict()
 				if got != want || ok != wantOK {
 					t.Fatalf("op %d: Evict = (%d, %v), scan says (%d, %v) (k=%d crp=%d rip=%d)",
 						i/2, got, ok, want, wantOK, k, crp, rip)
 				}
-			case 5:
+			case 4:
 				r.Remove(p)
-			case 6:
+			case 5:
 				r.Restore(p)
 			}
 			checkVictimHeap(t, r.table)

@@ -7,7 +7,7 @@
 //   - LRUK: a fixed-capacity page cache implementing the policy.Cache
 //     interface, used by the trace-driven simulator (Section 4).
 //   - Replacer: a pin-aware victim selector for the buffer-pool manager in
-//     internal/bufferpool.
+//     internal/bufferpool, which runs it behind SyncReplacer's mutex.
 //   - Cache: a sharded, concurrent, generic in-memory cache with LRU-K
 //     eviction — the artifact a downstream user would adopt.
 //

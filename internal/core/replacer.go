@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/policy"
 )
@@ -17,20 +16,14 @@ import (
 // inside the Amdahl Huron buffer manager); the trace simulator uses the
 // simpler LRUK type instead.
 //
-// Replacer is not safe for concurrent use; the buffer pool serialises
-// access under its own latch.
+// Replacer is not safe for concurrent use. The single-threaded trace
+// simulator and the Serial reference pool call it directly; the concurrent
+// buffer pool takes it behind SyncReplacer's mutex.
 type Replacer struct {
 	k     int
 	table *histTable
 	// evictions counts victim selections (see PolicyStats).
 	evictions uint64
-	// clockSrc, when set, replaces the table's private tick with a shared
-	// atomic arrival clock. ShardedReplacer installs one clock across all
-	// sub-replacers so Backward K-distances traced from different shards
-	// are on one timescale, and the Batched wrapper stamps buffered events
-	// from it so a drained reference is applied at its arrival time rather
-	// than its drain time.
-	clockSrc *atomic.Int64
 }
 
 // NewReplacer returns an LRU-K replacer for a pool with the given history
@@ -47,37 +40,14 @@ func NewReplacer(k int, opts Options) *Replacer {
 
 // RecordAccess notes a reference to page p, which the pool has made (or is
 // about to make) resident. It advances the logical clock by one reference.
-func (r *Replacer) RecordAccess(p policy.PageID) { r.reference(p, r.tick()) }
-
-// reference applies a reference to page p at time now.
-func (r *Replacer) reference(p policy.PageID, now policy.Tick) {
+func (r *Replacer) RecordAccess(p policy.PageID) {
+	now := r.table.tick()
 	if h, ok := r.table.pages[p]; ok && h.resident {
 		r.table.touchResident(h, now)
 		return
 	}
 	// New residency; pages enter pinned, so not evictable yet.
 	r.table.admit(p, now, false)
-}
-
-// RecordAdmission notes the reference that makes page p resident after a
-// miss or a fresh allocation. For the unbatched Replacer an admission is
-// just a reference — it is identical to RecordAccess — but the Batched
-// wrapper records the two distinctly: a buffered admission must create the
-// HIST block even though the drain runs later, while a buffered hit whose
-// page has since left residency is discarded rather than fabricating a
-// phantom reference (see accessbuffer.go).
-func (r *Replacer) RecordAdmission(p policy.PageID) { r.RecordAccess(p) }
-
-// tick advances the logical clock by one reference, drawing from the
-// shared arrival clock when one is installed and from the table's private
-// clock otherwise. With a shared clock the table is advanced (never moved
-// backward) to the drawn time, so the retention purge still runs once per
-// reference.
-func (r *Replacer) tick() policy.Tick {
-	if r.clockSrc != nil {
-		return r.table.advanceTo(policy.Tick(r.clockSrc.Add(1)))
-	}
-	return r.table.tick()
 }
 
 // SetEvictable marks page p as evictable (pin count zero) or not. Calls
@@ -118,19 +88,6 @@ func (r *Replacer) Restore(p policy.PageID) {
 // with the maximal Backward K-distance, honouring the Correlated Reference
 // Period eligibility rule. ok is false when nothing is evictable.
 func (r *Replacer) Evict() (policy.PageID, bool) {
-	if r.clockSrc != nil {
-		// A shard's table only advances when it sees a reference, so at
-		// eviction time it may lag the shared arrival clock. The decision —
-		// CRP eligibility and the traced Backward K-distance — is defined at
-		// the current global time (Definition 2.1 is over the full reference
-		// string), so catch the table up first. Skipped when already current:
-		// advanceTo also runs the retention purge, and the single-table case
-		// must stay bit-exact with the unshared-clock Replacer, which purges
-		// only on references.
-		if g := policy.Tick(r.clockSrc.Load()); g > r.table.clock {
-			r.table.advanceTo(g)
-		}
-	}
 	h := r.table.selectVictim(r.table.clock)
 	if h == nil {
 		return policy.InvalidPage, false

@@ -44,71 +44,11 @@ func TestSyncReplacerMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestShardedReplacerEvictsAll verifies that a sweep-based Evict drains
-// every registered page exactly once, whichever shard it hashed to.
-func TestShardedReplacerEvictsAll(t *testing.T) {
-	r := NewShardedReplacer(8, 2, Options{})
-	const pages = 100
-	for p := policy.PageID(0); p < pages; p++ {
-		r.RecordAccess(p)
-		r.SetEvictable(p, true)
-	}
-	if got := r.Size(); got != pages {
-		t.Fatalf("Size = %d, want %d", got, pages)
-	}
-	seen := make(map[policy.PageID]bool)
-	for i := 0; i < pages; i++ {
-		v, ok := r.Evict()
-		if !ok {
-			t.Fatalf("Evict ran dry after %d victims", i)
-		}
-		if seen[v] {
-			t.Fatalf("page %d evicted twice", v)
-		}
-		seen[v] = true
-	}
-	if _, ok := r.Evict(); ok {
-		t.Error("Evict found a victim in an empty replacer")
-	}
-	if got := r.Size(); got != 0 {
-		t.Errorf("Size = %d after draining, want 0", got)
-	}
-}
-
-func TestShardedReplacerValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-power-of-two shard count accepted")
-		}
-	}()
-	NewShardedReplacer(6, 2, Options{})
-}
-
-func TestShardedReplacerPinnedNeverEvicted(t *testing.T) {
-	r := NewShardedReplacer(4, 2, Options{})
-	for p := policy.PageID(0); p < 20; p++ {
-		r.RecordAccess(p)
-		r.SetEvictable(p, p%2 == 0) // odd pages stay pinned
-	}
-	for {
-		v, ok := r.Evict()
-		if !ok {
-			break
-		}
-		if v%2 != 0 {
-			t.Fatalf("pinned page %d evicted", v)
-		}
-	}
-	if got := r.Size(); got != 0 {
-		t.Errorf("%d evictable pages left unswept", got)
-	}
-}
-
-// TestShardedReplacerConcurrent hammers all operations from many
+// TestSyncReplacerConcurrent hammers all operations from many
 // goroutines; the race detector checks the locking, and the final drain
 // checks structural integrity.
-func TestShardedReplacerConcurrent(t *testing.T) {
-	r := NewShardedReplacer(8, 2, Options{})
+func TestSyncReplacerConcurrent(t *testing.T) {
+	r := NewSyncReplacer(2, Options{})
 	const goroutines = 8
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

@@ -67,16 +67,6 @@ type Config struct {
 	// Replacement decisions are unaffected — the replacer stays globally
 	// ordered — so results remain deterministic at any shard count.
 	PoolShards int
-	// AccessBatch, when positive, puts the replacer behind per-slot access
-	// buffers of this capacity (core.Batched): hot-path references append
-	// to a ring buffer under a cheap slot lock and drain into the replacer
-	// in batches, instead of taking the replacer lock per reference. Every
-	// eviction search and stats read flushes the buffers first, so victim
-	// choice and reported counters never act on a stale window; on a
-	// single-threaded reference string results are bit-identical to the
-	// unbatched replacer (DESIGN.md §14). Zero (the default) keeps the
-	// eagerly-locked replacer.
-	AccessBatch int
 	// DiskFaults, when non-nil, arms the storage stack with a deterministic
 	// fault-injection plan (storage.NewFaultPlan) so the database's failure
 	// paths can be exercised reproducibly — against any backend, simulated
@@ -165,7 +155,6 @@ type DB struct {
 	count     atomic.Int64           // loaded customer count (persisted in the catalog)
 	pool      *bufferpool.Pool
 	replacer  *core.SyncReplacer
-	batched   *core.Batched // non-nil when Config.AccessBatch > 0; wraps replacer
 	customers *heapfile.File
 	index     *btree.Tree
 	rids      map[int64]heapfile.RID // loader's check table, not an access path
@@ -203,9 +192,6 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.RecordCacheJanitor > 0 && cfg.RecordCacheSize <= 0 {
 		return nil, fmt.Errorf("db: record cache janitor requires a record cache (RecordCacheSize > 0)")
 	}
-	if cfg.AccessBatch < 0 {
-		return nil, fmt.Errorf("db: access batch capacity must be non-negative, got %d", cfg.AccessBatch)
-	}
 	// Assemble the storage stack: base backend (caller-supplied or a fresh
 	// simulated disk) → corruption injection (innermost wrapper, so its
 	// taints look like media damage under every other stage) → fault
@@ -226,12 +212,6 @@ func Open(cfg Config) (*DB, error) {
 	}
 	var backend storage.Backend = faulty
 	repl := core.NewSyncReplacer(cfg.K, cfg.ReplacerOptions)
-	var poolReplacer bufferpool.Replacer = repl
-	var batched *core.Batched
-	if cfg.AccessBatch > 0 {
-		batched = core.NewBatched(repl, core.BatchConfig{Capacity: cfg.AccessBatch})
-		poolReplacer = batched
-	}
 	var poolMetrics bufferpool.Metrics
 	var evTrace *obs.EvictionTrace
 	var corruptionHook func(policy.PageID, storage.CorruptKind, bool)
@@ -276,7 +256,7 @@ func Open(cfg Config) (*DB, error) {
 			}
 		}
 	}
-	pool := bufferpool.NewWithConfig(backend, cfg.Frames, poolReplacer,
+	pool := bufferpool.NewWithConfig(backend, cfg.Frames, repl,
 		bufferpool.Config{
 			Shards:         cfg.PoolShards,
 			Retry:          cfg.DiskRetry,
@@ -296,7 +276,6 @@ func Open(cfg Config) (*DB, error) {
 		durable:   durable,
 		pool:      pool,
 		replacer:  repl,
-		batched:   batched,
 		evTrace:   evTrace,
 		rids:      make(map[int64]heapfile.RID),
 	}
@@ -676,10 +655,7 @@ type StatsSnapshot struct {
 	// with an open circuit (0 with the breaker disabled or healthy).
 	BreakerOpenStripes int              `json:"breaker_open_stripes"`
 	Policy             core.PolicyStats `json:"policy"`
-	// AccessBatch holds the access-buffer drain counters; the zero value
-	// when Config.AccessBatch is off.
-	AccessBatch core.BatchStats `json:"access_batch"`
-	Disk        storage.Stats   `json:"disk"`
+	Disk               storage.Stats    `json:"disk"`
 	// Corruption is the corruption injector's ledger — all zero in
 	// production runs, where no plan is armed; the pool's own detection
 	// and repair counters live in Pool.
@@ -702,7 +678,7 @@ func (db *DB) StatsSnapshot() StatsSnapshot {
 		PoolHitRatio:       s.HitRatio(),
 		Quarantined:        db.pool.Quarantined(),
 		BreakerOpenStripes: db.pool.BreakerOpenStripes(),
-		Policy:             db.policyStats(),
+		Policy:             db.replacer.PolicyStats(),
 		Disk:               db.backend.Stats(),
 		Corruption:         db.corrupter.CorruptStats(),
 		PoisonedPages:      len(db.pool.PoisonedPages()),
@@ -710,19 +686,7 @@ func (db *DB) StatsSnapshot() StatsSnapshot {
 		IndexPages:         len(db.index.Pages()),
 		DataPages:          len(db.customers.Pages()),
 	}
-	if db.batched != nil {
-		snap.AccessBatch = db.batched.BatchStats()
-	}
 	return snap
-}
-
-// policyStats reads the replacer's decision counters, draining any access
-// buffers first so buffered references are reflected in the counts.
-func (db *DB) policyStats() core.PolicyStats {
-	if db.batched != nil {
-		return db.batched.PolicyStats()
-	}
-	return db.replacer.PolicyStats()
 }
 
 // RecordCacheStats returns the record cache's counters; the zero value

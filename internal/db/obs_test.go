@@ -2,7 +2,6 @@ package db
 
 import (
 	"bufio"
-	"encoding/binary"
 	"io"
 	"math"
 	"net/http"
@@ -219,81 +218,5 @@ func TestObsDisabledByDefault(t *testing.T) {
 	}
 	if tr := database.EvictionTrace(); tr != nil {
 		t.Fatalf("eviction trace must be nil without Config.Obs, got %d records", len(tr))
-	}
-}
-
-// TestAccessBatchEndToEnd runs the assembled database with the replacer
-// behind access buffers (Config.AccessBatch) and the observability stack
-// armed: lookups must return correct records, the drain counters must show
-// buffered events actually flowing, the exposed batch metrics must agree
-// with StatsSnapshot, and a snapshot read must flush the buffers so policy
-// counters are current.
-func TestAccessBatchEndToEnd(t *testing.T) {
-	reg := obs.NewRegistry()
-	database, err := Open(Config{
-		Frames:      16,
-		K:           2,
-		AccessBatch: 32,
-		Obs:         reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer database.Close()
-	const customers = 200
-	if err := database.LoadCustomers(customers); err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRNG(7)
-	for i := 0; i < 2000; i++ {
-		id := int64(rng.Intn(customers))
-		rec, err := database.Lookup(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := int64(binary.LittleEndian.Uint64(rec)); got != id {
-			t.Fatalf("lookup %d returned record %d", id, got)
-		}
-	}
-
-	snap := database.StatsSnapshot()
-	if snap.AccessBatch.Events == 0 {
-		t.Error("no buffered policy events drained")
-	}
-	if snap.AccessBatch.Flushes == 0 {
-		t.Error("no whole-buffer flushes recorded (eviction searches and stats reads must flush)")
-	}
-	// The snapshot's policy view flushed first, so every drained reference
-	// is reflected: the pool evicted (16 frames, 200+ pages), and each
-	// eviction the replacer performed came from a flushed, current index.
-	if snap.Policy.Evictions == 0 || snap.Pool.Evictions == 0 {
-		t.Errorf("workload did not evict: policy %d, pool %d", snap.Policy.Evictions, snap.Pool.Evictions)
-	}
-
-	srv := httptest.NewServer(obs.Handler(reg))
-	defer srv.Close()
-	vals := scrape(t, srv)
-	snap = database.StatsSnapshot()
-	for name, want := range map[string]float64{
-		"lruk_access_batch_drains_total":  float64(snap.AccessBatch.Drains),
-		"lruk_access_batch_events_total":  float64(snap.AccessBatch.Events),
-		"lruk_access_batch_dropped_total": float64(snap.AccessBatch.Dropped),
-	} {
-		got, ok := vals[name]
-		if !ok {
-			t.Errorf("metric %s missing from exposition", name)
-			continue
-		}
-		if got != want {
-			t.Errorf("%s = %v, snapshot says %v", name, got, want)
-		}
-	}
-	// The scrape itself flushes (policy collectors), so Flushes only grows;
-	// compare with >= instead of equality.
-	if got := vals["lruk_access_batch_flushes_total"]; got > float64(snap.AccessBatch.Flushes) {
-		t.Errorf("flushes regressed: scraped %v, snapshot %v", got, snap.AccessBatch.Flushes)
-	}
-	if got := vals["lruk_access_batch_drain_events_count"]; got == 0 {
-		t.Error("drain depth histogram recorded nothing")
 	}
 }

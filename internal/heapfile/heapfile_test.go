@@ -20,7 +20,7 @@ import (
 func newFile(t *testing.T, frames int) *File {
 	t.Helper()
 	d := sim.New(sim.ServiceModel{})
-	pool := bufferpool.New(d, frames, core.NewReplacer(2, core.Options{}))
+	pool := bufferpool.New(d, frames, core.NewSyncReplacer(2, core.Options{}))
 	return New(pool)
 }
 

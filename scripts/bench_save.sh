@@ -5,8 +5,9 @@
 #   BENCH_storage.json — storage backends (sim vs durable file store:
 #       write, group-committed parallel write, read, checkpoint, recovery
 #       replay), the cost of durability.
-#   BENCH_hotpath.json — the buffer pool's resident-hit path (serial vs
-#       sharded vs batched replacer, 1/4/8/16 goroutines, both backends),
+#   BENCH_hotpath.json — the buffer pool's resident-hit path (the serial
+#       oracle vs the production pool on core.SyncReplacer, 1/4/8/16
+#       goroutines, both backends),
 #       the §2.1 "negligible per-reference cost" trajectory, the
 #       replacer's own share of a hit and of a miss, and a whole
 #       resident-hit GET over loopback TCP (BenchmarkServerGet, with
