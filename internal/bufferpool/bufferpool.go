@@ -398,8 +398,8 @@ type Pool struct {
 	quarantined map[policy.PageID]struct{}
 
 	// repairer is the deepest layer of the backend stack that can repair
-	// a corrupt page in place (the file store's WAL-tail repair, or a
-	// corruption injector's taint clearing); nil when none can.
+	// a corrupt page in place (the file store's WAL-tail repair, or the
+	// WithFaults injector's taint clearing); nil when none can.
 	repairer storage.Repairer
 	// poisoned holds unrepairable-corrupt page ids: detection found no
 	// redundant copy, so fetches fail fast with the recorded corruption

@@ -18,12 +18,12 @@ import (
 	"repro/internal/storage/sim"
 )
 
-// newCorruptDisk builds a simulator wrapped in the corruption stage and
+// newCorruptDisk builds a simulator wrapped in the injection stage and
 // preloads n stamped pages through it (plan disarmed, so the preload is
 // clean).
-func newCorruptDisk(t *testing.T, n int) (*storage.Corrupter, []policy.PageID) {
+func newCorruptDisk(t *testing.T, n int) (*storage.Faulty, []policy.PageID) {
 	t.Helper()
-	c := storage.WithCorruption(sim.New(sim.ServiceModel{}))
+	c := storage.WithFaults(sim.New(sim.ServiceModel{}))
 	ids := make([]policy.PageID, n)
 	buf := make([]byte, storage.PageSize)
 	for i := range ids {
@@ -39,18 +39,18 @@ func newCorruptDisk(t *testing.T, n int) (*storage.Corrupter, []policy.PageID) {
 // taint corrupts page id through the wrapper: arm a one-shot rule for it,
 // rewrite its current content (the write passes through, then taints), and
 // disarm again.
-func taint(t *testing.T, c *storage.Corrupter, id policy.PageID, unrepairable bool) {
+func taint(t *testing.T, c *storage.Faulty, id policy.PageID, unrepairable bool) {
 	t.Helper()
 	buf := make([]byte, storage.PageSize)
 	if err := c.Read(context.Background(), id, buf); err != nil {
 		t.Fatalf("taint pre-read of %d: %v", id, err)
 	}
-	c.SetCorruption(storage.NewCorruptPlan(1, storage.CorruptRule{
-		Pages: []policy.PageID{id}, Count: 1, Unrepairable: unrepairable}))
+	c.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{
+		Corrupt: storage.CorruptChecksum, Pages: []policy.PageID{id}, Count: 1, Unrepairable: unrepairable}))
 	if err := c.Write(context.Background(), id, buf); err != nil {
 		t.Fatalf("taint write of %d: %v", id, err)
 	}
-	c.SetCorruption(nil)
+	c.SetFaults(nil)
 }
 
 func TestFetchReadRepair(t *testing.T) {
@@ -257,9 +257,9 @@ func TestENOSPCFailsFastWhileHitsServe(t *testing.T) {
 }
 
 // TestCorruptionStorm is the integrity headline: many goroutines hammer a
-// small pool while the corruption stage taints write-backs — bit rot,
-// misdirected writes landing on a neighbour, and a bounded run of
-// unrepairable damage. The background scrubber runs throughout. Individual
+// small pool while the injection stage's corruption rules taint
+// write-backs — bit rot, misdirected writes landing on a neighbour, and a
+// bounded run of unrepairable damage. The background scrubber runs throughout. Individual
 // fetches may fail with the corruption error; the pool may not lose data
 // or miscount. After the storm the injection ledger must reconcile exactly
 // with the pool's integrity counters and the disk's transfer ledger, and
@@ -287,7 +287,7 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 		seed       = 7
 	)
 	leakcheck.Check(t)
-	c := storage.WithCorruption(base)
+	c := storage.WithFaults(base)
 	ids := make([]policy.PageID, pages)
 	committed := make([]uint64, pages) // owner-goroutine writes, read after Wait
 	buf := make([]byte, storage.PageSize)
@@ -307,10 +307,10 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 	// The storm's corruption plan, armed only after the clean preload: a
 	// bounded burst of unrepairable damage, a misdirect trickle, and a
 	// steady bit-rot rate.
-	c.SetCorruption(storage.NewCorruptPlan(seed,
-		storage.CorruptRule{Probability: 0.02, Count: 16, Unrepairable: true},
-		storage.CorruptRule{Probability: 0.02, Kind: storage.CorruptMisdirect},
-		storage.CorruptRule{Probability: 0.05},
+	c.SetFaults(storage.NewFaultPlan(seed,
+		storage.FaultRule{Corrupt: storage.CorruptChecksum, Probability: 0.02, Count: 16, Unrepairable: true},
+		storage.FaultRule{Corrupt: storage.CorruptMisdirect, Probability: 0.02},
+		storage.FaultRule{Corrupt: storage.CorruptChecksum, Probability: 0.05},
 	))
 
 	p := NewWithConfig(c, frames, core.NewSyncReplacer(2, core.Options{}), Config{
@@ -367,7 +367,7 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 	// Phase 2: disarm injection (existing taints stay — damage on the media
 	// does not evaporate) and drive the pool to a fixed point: everything
 	// repairable repaired, everything else quarantined.
-	c.SetCorruption(nil)
+	c.SetFaults(nil)
 	ctx := context.Background()
 
 	// The storm can finish before the background scrubber ever wins the
@@ -403,13 +403,13 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 			t.Fatalf("side read of scrub target: %v", err)
 		}
 		sideReads++
-		c.SetCorruption(storage.NewCorruptPlan(1, storage.CorruptRule{
-			Pages: []policy.PageID{target}, Count: 1}))
+		c.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{
+			Corrupt: storage.CorruptChecksum, Pages: []policy.PageID{target}, Count: 1}))
 		if err := c.Write(ctx, target, buf); err != nil {
 			t.Fatalf("side write of scrub target: %v", err)
 		}
 		sideWrites++
-		c.SetCorruption(nil)
+		c.SetFaults(nil)
 		p.ScrubSweep(ctx, pages)
 	}
 	deadline := time.Now().Add(15 * time.Second)

@@ -12,10 +12,10 @@ import (
 // corruption, the poison set of unrepairable pages, and the background
 // scrubber that verifies pages against the backend before a client read
 // trips over silent damage. Detection itself lives below the pool — the
-// file store's per-slot trailers and the storage.WithCorruption injector
-// both surface storage.ErrCorrupt — and the pool decides each detection's
-// fate: heal it from a redundant copy, or poison the page id so further
-// fetches fail fast.
+// file store's per-slot trailers and the corruption rules of the
+// storage.WithFaults injector both surface storage.ErrCorrupt — and the
+// pool decides each detection's fate: heal it from a redundant copy, or
+// poison the page id so further fetches fail fast.
 
 // maxRepairAttempts bounds how many repair+re-read rounds one detection
 // gets before the page is declared unrepairable.

@@ -44,7 +44,7 @@ func TestDBCorruptionEndToEnd(t *testing.T) {
 	// injection has demonstrably happened (the plan is seeded, but which
 	// write-back trips it depends on pool state; the loop makes the test
 	// deterministic in outcome).
-	database.SetDiskCorruption(storage.NewCorruptPlan(3, storage.CorruptRule{Probability: 0.25}))
+	database.SetDiskFaults(storage.NewFaultPlan(3, storage.FaultRule{Corrupt: storage.CorruptChecksum, Probability: 0.25}))
 	rng := stats.NewRNG(99)
 	for i := 0; i < 200 && database.DiskCorruptStats().Injected == 0; i++ {
 		id := int64(rng.Intn(200))
@@ -55,7 +55,7 @@ func TestDBCorruptionEndToEnd(t *testing.T) {
 			t.Fatalf("flush %d: %v", i, err)
 		}
 	}
-	database.SetDiskCorruption(nil)
+	database.SetDiskFaults(nil)
 	if database.DiskCorruptStats().Injected == 0 {
 		t.Fatal("corruption plan never fired across 200 flushed updates")
 	}

@@ -68,17 +68,14 @@ type Config struct {
 	// ordered — so results remain deterministic at any shard count.
 	PoolShards int
 	// DiskFaults, when non-nil, arms the storage stack with a deterministic
-	// fault-injection plan (storage.NewFaultPlan) so the database's failure
-	// paths can be exercised reproducibly — against any backend, simulated
-	// or durable. Production-shaped runs leave it nil. The plan can also be
-	// swapped at runtime via SetDiskFaults.
+	// injection plan (storage.NewFaultPlan) so the database's failure paths
+	// can be exercised reproducibly — against any backend, simulated or
+	// durable. Its fault rules fail disk operations; its corruption rules
+	// taint written pages so later reads fail with storage.ErrCorrupt,
+	// exercising the pool's detect/repair/quarantine protocol.
+	// Production-shaped runs leave it nil. The plan can also be swapped at
+	// runtime via SetDiskFaults.
 	DiskFaults *storage.FaultPlan
-	// DiskCorruption, when non-nil, arms the storage stack's corruption
-	// injector (storage.NewCorruptPlan): matched writes taint their page
-	// and later reads of it fail with storage.ErrCorrupt, exercising the
-	// pool's detect/repair/quarantine protocol against any backend. The
-	// plan can also be swapped at runtime via SetDiskCorruption.
-	DiskCorruption *storage.CorruptPlan
 	// ScrubInterval enables the pool's background integrity scrubber at
 	// this cadence. Zero (the default) disables it.
 	ScrubInterval time.Duration
@@ -147,9 +144,8 @@ var catalogMagic = [8]byte{'L', 'R', 'U', 'K', 'C', 'A', 'T', '1'}
 // DB is the miniature customer database.
 type DB struct {
 	cfg       Config
-	backend   storage.Backend        // outermost storage stack (metrics→faults→corruption→base); the pool I/Os through it
-	faulty    *storage.Faulty        // fault-injection stage, for SetDiskFaults
-	corrupter *storage.Corrupter     // corruption-injection stage, for SetDiskCorruption
+	backend   storage.Backend        // outermost storage stack (metrics→injection→base); the pool I/Os through it
+	faulty    *storage.Faulty        // injection stage, for SetDiskFaults and DiskCorruptStats
 	durable   storage.DurableBackend // non-nil when the base backend is durable
 	attached  bool                   // durable reopen: dataset recovered from the catalog
 	count     atomic.Int64           // loaded customer count (persisted in the catalog)
@@ -193,20 +189,17 @@ func Open(cfg Config) (*DB, error) {
 		return nil, fmt.Errorf("db: record cache janitor requires a record cache (RecordCacheSize > 0)")
 	}
 	// Assemble the storage stack: base backend (caller-supplied or a fresh
-	// simulated disk) → corruption injection (innermost wrapper, so its
-	// taints look like media damage under every other stage) → fault
-	// injection → instrumentation (outermost, so injected faults are timed
-	// like real ones). The pool adds the circuit breaker on top.
+	// simulated disk) → fault and corruption injection (directly over the
+	// base, so its taints look like media damage to every other stage; one
+	// atomic load per operation until a plan is armed) → instrumentation
+	// (outermost, so injected faults are timed like real ones). The pool
+	// adds the circuit breaker on top.
 	base := cfg.Backend
 	if base == nil {
 		base = sim.New(cfg.DiskModel)
 	}
 	durable, _ := base.(storage.DurableBackend)
-	corrupter := storage.WithCorruption(base)
-	if cfg.DiskCorruption != nil {
-		corrupter.SetCorruption(cfg.DiskCorruption)
-	}
-	faulty := storage.WithFaults(corrupter)
+	faulty := storage.WithFaults(base)
 	if cfg.DiskFaults != nil {
 		faulty.SetFaults(cfg.DiskFaults)
 	}
@@ -269,15 +262,14 @@ func Open(cfg Config) (*DB, error) {
 			EvictionStamp:  evictionStamp,
 		})
 	db := &DB{
-		cfg:       cfg,
-		backend:   backend,
-		faulty:    faulty,
-		corrupter: corrupter,
-		durable:   durable,
-		pool:      pool,
-		replacer:  repl,
-		evTrace:   evTrace,
-		rids:      make(map[int64]heapfile.RID),
+		cfg:      cfg,
+		backend:  backend,
+		faulty:   faulty,
+		durable:  durable,
+		pool:     pool,
+		replacer: repl,
+		evTrace:  evTrace,
+		rids:     make(map[int64]heapfile.RID),
 	}
 	if durable != nil && durable.Recovery().Reopened {
 		// Durable reopen: recovery has replayed the WAL; re-anchor the
@@ -590,19 +582,15 @@ func (db *DB) ScanCustomersCtx(ctx context.Context) (int, error) {
 	return n, err
 }
 
-// SetDiskFaults replaces the storage stack's fault-injection plan at
-// runtime; nil disarms injection. Operations already past their fault check
-// complete normally.
+// SetDiskFaults replaces the storage stack's injection plan at runtime;
+// nil disarms injection. Operations already past their fault check
+// complete normally; existing taints persist until overwritten, repaired,
+// or deallocated.
 func (db *DB) SetDiskFaults(p *storage.FaultPlan) { db.faulty.SetFaults(p) }
 
-// SetDiskCorruption replaces the storage stack's corruption-injection plan
-// at runtime; nil disarms injection (existing taints persist until
-// overwritten, repaired, or deallocated).
-func (db *DB) SetDiskCorruption(p *storage.CorruptPlan) { db.corrupter.SetCorruption(p) }
-
-// DiskCorruptStats returns the corruption injector's ledger (all zero when
-// no plan was ever armed).
-func (db *DB) DiskCorruptStats() storage.CorruptStats { return db.corrupter.CorruptStats() }
+// DiskCorruptStats returns the injector's corruption ledger (all zero when
+// no corruption rule ever fired).
+func (db *DB) DiskCorruptStats() storage.CorruptStats { return db.faulty.CorruptStats() }
 
 // PoolPoisoned returns the page ids quarantined as unrepairable-corrupt.
 func (db *DB) PoolPoisoned() []policy.PageID { return db.pool.PoisonedPages() }
@@ -656,7 +644,7 @@ type StatsSnapshot struct {
 	BreakerOpenStripes int              `json:"breaker_open_stripes"`
 	Policy             core.PolicyStats `json:"policy"`
 	Disk               storage.Stats    `json:"disk"`
-	// Corruption is the corruption injector's ledger — all zero in
+	// Corruption is the injection stage's corruption ledger — all zero in
 	// production runs, where no plan is armed; the pool's own detection
 	// and repair counters live in Pool.
 	Corruption storage.CorruptStats `json:"corruption"`
@@ -680,7 +668,7 @@ func (db *DB) StatsSnapshot() StatsSnapshot {
 		BreakerOpenStripes: db.pool.BreakerOpenStripes(),
 		Policy:             db.replacer.PolicyStats(),
 		Disk:               db.backend.Stats(),
-		Corruption:         db.corrupter.CorruptStats(),
+		Corruption:         db.faulty.CorruptStats(),
 		PoisonedPages:      len(db.pool.PoisonedPages()),
 		RecordCache:        db.RecordCacheStats(),
 		IndexPages:         len(db.index.Pages()),

@@ -1,6 +1,7 @@
 package storage_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/policy"
@@ -8,21 +9,9 @@ import (
 	"repro/internal/storage/sim"
 )
 
-// corruptTestBackend wraps a fresh simulator in the corruption stage and
-// allocates the requested pages.
-func corruptTestBackend(t *testing.T, pages int) (*storage.Corrupter, []policy.PageID) {
-	t.Helper()
-	c := storage.WithCorruption(sim.New(sim.ServiceModel{}))
-	ids := make([]policy.PageID, pages)
-	for i := range ids {
-		ids[i] = storage.MustAllocate(c)
-	}
-	return c, ids
-}
-
 func TestCorruptTaintAndDetect(t *testing.T) {
-	c, ids := corruptTestBackend(t, 2)
-	c.SetCorruption(storage.NewCorruptPlan(1, storage.CorruptRule{Pages: []policy.PageID{ids[0]}}))
+	c, ids := faultTestBackend(t, 2)
+	c.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Corrupt: storage.CorruptChecksum, Pages: []policy.PageID{ids[0]}}))
 	buf := make([]byte, storage.PageSize)
 	if err := c.Write(ctx, ids[0], buf); err != nil {
 		t.Fatalf("write: %v", err)
@@ -47,8 +36,8 @@ func TestCorruptTaintAndDetect(t *testing.T) {
 }
 
 func TestCorruptOverwriteClears(t *testing.T) {
-	c, ids := corruptTestBackend(t, 1)
-	c.SetCorruption(storage.NewCorruptPlan(1, storage.CorruptRule{Count: 1, Unrepairable: true}))
+	c, ids := faultTestBackend(t, 1)
+	c.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Corrupt: storage.CorruptChecksum, Count: 1, Unrepairable: true}))
 	buf := make([]byte, storage.PageSize)
 	if err := c.Write(ctx, ids[0], buf); err != nil {
 		t.Fatalf("write: %v", err)
@@ -70,10 +59,10 @@ func TestCorruptOverwriteClears(t *testing.T) {
 }
 
 func TestCorruptRepairPage(t *testing.T) {
-	c, ids := corruptTestBackend(t, 2)
-	c.SetCorruption(storage.NewCorruptPlan(1,
-		storage.CorruptRule{Pages: []policy.PageID{ids[0]}, Count: 1},
-		storage.CorruptRule{Pages: []policy.PageID{ids[1]}, Count: 1, Unrepairable: true},
+	c, ids := faultTestBackend(t, 2)
+	c.SetFaults(storage.NewFaultPlan(1,
+		storage.FaultRule{Corrupt: storage.CorruptChecksum, Pages: []policy.PageID{ids[0]}, Count: 1},
+		storage.FaultRule{Corrupt: storage.CorruptChecksum, Pages: []policy.PageID{ids[1]}, Count: 1, Unrepairable: true},
 	))
 	buf := make([]byte, storage.PageSize)
 	for _, id := range ids {
@@ -101,9 +90,9 @@ func TestCorruptRepairPage(t *testing.T) {
 }
 
 func TestCorruptMisdirectTaintsNeighbour(t *testing.T) {
-	c, ids := corruptTestBackend(t, 2)
-	c.SetCorruption(storage.NewCorruptPlan(1, storage.CorruptRule{
-		Pages: []policy.PageID{ids[0]}, Kind: storage.CorruptMisdirect, Count: 1}))
+	c, ids := faultTestBackend(t, 2)
+	c.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{
+		Pages: []policy.PageID{ids[0]}, Corrupt: storage.CorruptMisdirect, Count: 1}))
 	buf := make([]byte, storage.PageSize)
 	if err := c.Write(ctx, ids[0], buf); err != nil {
 		t.Fatalf("write: %v", err)
@@ -120,8 +109,8 @@ func TestCorruptMisdirectTaintsNeighbour(t *testing.T) {
 }
 
 func TestCorruptDeallocateClears(t *testing.T) {
-	c, ids := corruptTestBackend(t, 1)
-	c.SetCorruption(storage.NewCorruptPlan(1, storage.CorruptRule{Unrepairable: true}))
+	c, ids := faultTestBackend(t, 1)
+	c.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Corrupt: storage.CorruptChecksum, Unrepairable: true}))
 	buf := make([]byte, storage.PageSize)
 	if err := c.Write(ctx, ids[0], buf); err != nil {
 		t.Fatalf("write: %v", err)
@@ -138,8 +127,8 @@ func TestCorruptDeallocateClears(t *testing.T) {
 // conservation law: every injection is either still tainting a page or was
 // cleared, no double counting.
 func TestCorruptLedgerInvariant(t *testing.T) {
-	c, ids := corruptTestBackend(t, 8)
-	c.SetCorruption(storage.NewCorruptPlan(7, storage.CorruptRule{Probability: 0.3}))
+	c, ids := faultTestBackend(t, 8)
+	c.SetFaults(storage.NewFaultPlan(7, storage.FaultRule{Corrupt: storage.CorruptChecksum, Probability: 0.3}))
 	buf := make([]byte, storage.PageSize)
 	for i := 0; i < 500; i++ {
 		id := ids[i%len(ids)]
@@ -186,16 +175,15 @@ func (w *wrapErr) Unwrap() error { return w.err }
 // the chain bottoms out without one.
 func TestRepairerForWalksChain(t *testing.T) {
 	base := sim.New(sim.ServiceModel{})
-	corrupter := storage.WithCorruption(base)
-	stack := storage.WithFaults(corrupter)
+	stack := storage.WithMetrics(storage.WithFaults(base), storage.Metrics{})
 	r, ok := storage.RepairerFor(stack)
 	if !ok {
-		t.Fatal("RepairerFor missed the corrupter under the fault wrapper")
+		t.Fatal("RepairerFor missed the injection stage under the metrics wrapper")
 	}
-	if _, isCorrupter := r.(*storage.Corrupter); !isCorrupter {
-		t.Fatalf("RepairerFor returned %T, want the outermost Repairer (*storage.Corrupter)", r)
+	if _, isFaulty := r.(*storage.Faulty); !isFaulty {
+		t.Fatalf("RepairerFor returned %T, want the outermost Repairer (*storage.Faulty)", r)
 	}
-	if _, ok := storage.RepairerFor(storage.WithFaults(base)); ok {
+	if _, ok := storage.RepairerFor(storage.WithMetrics(base, storage.Metrics{})); ok {
 		t.Error("RepairerFor invented a repairer over the bare simulator")
 	}
 	var nilBackend storage.Backend
@@ -204,16 +192,97 @@ func TestRepairerForWalksChain(t *testing.T) {
 	}
 }
 
-// TestCorruptChargeFaultDelegates ensures inserting the corrupter between
-// the fault wrapper and the simulator keeps fault charging (simulated
-// service time on faulted ops) alive.
-func TestCorruptChargeFaultDelegates(t *testing.T) {
-	var fc storage.FaultCharger = storage.WithCorruption(sim.New(sim.ServiceModel{}))
-	fc.ChargeFault(0) // must not panic; delegation reaches the simulator
-	if _, ok := storage.WithCorruption(faultlessBackend{}).Inner().(storage.FaultCharger); ok {
-		t.Fatal("test backend unexpectedly implements FaultCharger")
+// TestCorruptMisdirectSkipsMissingNeighbour: in an odd-sized store the last
+// page's XOR-1 neighbour was never allocated, so a misdirect there lands on
+// no page and injects nothing — and the ledger drains once every allocated
+// page is overwritten.
+func TestCorruptMisdirectSkipsMissingNeighbour(t *testing.T) {
+	c, ids := faultTestBackend(t, 3)
+	c.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Corrupt: storage.CorruptMisdirect, Count: 2}))
+	buf := make([]byte, storage.PageSize)
+	if err := c.Write(ctx, ids[2], buf); err != nil {
+		t.Fatalf("write: %v", err)
 	}
-	storage.WithCorruption(faultlessBackend{}).ChargeFault(0) // no-op, no panic
+	if s := c.CorruptStats(); s != (storage.CorruptStats{}) {
+		t.Fatalf("misdirect onto missing page %d: corrupt stats %+v, want all zero", ids[2]^1, s)
+	}
+	if err := c.Read(ctx, ids[2]^1, buf); !errors.Is(err, storage.ErrPageNotAllocated) {
+		t.Fatalf("read of missing neighbour: %v, want ErrPageNotAllocated", err)
+	}
+	// A neighbour that exists still takes the damage.
+	if err := c.Write(ctx, ids[0], buf); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if s := c.CorruptStats(); s.Injected != 1 || s.Tainted != 1 {
+		t.Fatalf("misdirect onto page %d: corrupt stats %+v, want injected=1 tainted=1", ids[0]^1, s)
+	}
+	for _, id := range ids {
+		if err := c.Write(ctx, id, buf); err != nil {
+			t.Fatalf("overwrite %d: %v", id, err)
+		}
+	}
+	if s := c.CorruptStats(); s.Injected != 1 || s.Cleared != 1 || s.Tainted != 0 {
+		t.Errorf("corrupt stats %+v after overwriting every page, want injected=1 cleared=1 tainted=0", s)
+	}
 }
 
-type faultlessBackend struct{ storage.Backend }
+// TestMixedPlan arms one plan with fault and corruption rules together and
+// checks the order the wrapper applies them in: a faulted write never
+// reaches the media, so it neither clears a taint nor consumes a corruption
+// rule's budget, and a faulted read is a fault, not a detection.
+func TestMixedPlan(t *testing.T) {
+	c, ids := faultTestBackend(t, 2)
+	c.SetFaults(storage.NewFaultPlan(1,
+		storage.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{ids[0]}, After: 1, Count: 1},
+		storage.FaultRule{Op: storage.OpRead, Count: 1},
+		storage.FaultRule{Corrupt: storage.CorruptChecksum, Count: 2},
+	))
+	buf := make([]byte, storage.PageSize)
+	if err := c.Write(ctx, ids[0], buf); err != nil {
+		t.Fatalf("first write: %v", err)
+	}
+	if s := c.CorruptStats(); s.Injected != 1 || s.Tainted != 1 {
+		t.Fatalf("corrupt stats %+v after first write, want injected=1 tainted=1", s)
+	}
+	// The second write of ids[0] faults: the taint stays, nothing counted.
+	if err := c.Write(ctx, ids[0], buf); !errors.Is(err, storage.ErrInjectedFault) {
+		t.Fatalf("second write: %v, want injected fault", err)
+	}
+	if s := c.CorruptStats(); s != (storage.CorruptStats{Injected: 1, Tainted: 1}) {
+		t.Fatalf("corrupt stats %+v after faulted write, want injected=1 tainted=1 only", s)
+	}
+	// A read fault on the tainted page is a fault, not a detection.
+	err := c.Read(ctx, ids[0], buf)
+	if !errors.Is(err, storage.ErrInjectedFault) || storage.IsCorrupt(err) {
+		t.Fatalf("faulted read: %v, want injected fault", err)
+	}
+	if s := c.CorruptStats(); s.Detected != 0 {
+		t.Fatalf("faulted read counted as a detection: %+v", s)
+	}
+	if err := c.Read(ctx, ids[0], buf); !storage.IsCorrupt(err) {
+		t.Fatalf("read of tainted page: %v, want corrupt", err)
+	}
+	// The corruption rule still has its second injection: the faulted
+	// write did not consume it.
+	if err := c.Write(ctx, ids[1], buf); err != nil {
+		t.Fatalf("write of second page: %v", err)
+	}
+	// The rule is now spent, so this write is clean and clears the taint.
+	if err := c.Write(ctx, ids[0], buf); err != nil {
+		t.Fatalf("clean write: %v", err)
+	}
+	if err := c.Read(ctx, ids[0], buf); err != nil {
+		t.Fatalf("read after clean write: %v", err)
+	}
+	want := storage.CorruptStats{Injected: 2, Detected: 1, Cleared: 1, Tainted: 1}
+	if s := c.CorruptStats(); s != want {
+		t.Errorf("corrupt stats %+v, want %+v", s, want)
+	}
+	if got := c.TaintedPages(); len(got) != 1 || got[0] != ids[1] {
+		t.Errorf("tainted pages %v, want [%d]", got, ids[1])
+	}
+	// Only the three media writes and the one clean read reached the sim.
+	if s := c.Stats(); s.Reads != 1 || s.Writes != 3 || s.ReadFaults != 1 || s.WriteFaults != 1 {
+		t.Errorf("stats %+v, want 1 read, 3 writes, 1 read fault, 1 write fault", s)
+	}
+}

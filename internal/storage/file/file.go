@@ -387,8 +387,8 @@ func (s *Store) extendLocked(p policy.PageID) error {
 	return nil
 }
 
-// isAllocated reports whether p is a live page.
-func (s *Store) isAllocated(p policy.PageID) bool {
+// IsAllocated reports whether p is a live page.
+func (s *Store) IsAllocated(p policy.PageID) bool {
 	s.allocMu.Lock()
 	defer s.allocMu.Unlock()
 	if p < 0 || p >= s.next {
@@ -410,7 +410,7 @@ func (s *Store) Read(ctx context.Context, p policy.PageID, buf []byte) error {
 	if len(buf) != storage.PageSize {
 		return fmt.Errorf("file: read buffer is %d bytes, want %d", len(buf), storage.PageSize)
 	}
-	if !s.isAllocated(p) {
+	if !s.IsAllocated(p) {
 		return fmt.Errorf("%w: read of page %d", storage.ErrPageNotAllocated, p)
 	}
 	lk := s.stripe(p)
@@ -450,7 +450,7 @@ func (s *Store) write(ctx context.Context, p policy.PageID, buf []byte) error {
 	if len(buf) != storage.PageSize {
 		return fmt.Errorf("file: write buffer is %d bytes, want %d", len(buf), storage.PageSize)
 	}
-	if !s.isAllocated(p) {
+	if !s.IsAllocated(p) {
 		return fmt.Errorf("%w: write of page %d", storage.ErrPageNotAllocated, p)
 	}
 	s.ckpt.RLock()
@@ -547,7 +547,7 @@ func (s *Store) undoAllocLocked(p policy.PageID) {
 
 // Deallocate releases page p for reuse.
 func (s *Store) Deallocate(p policy.PageID) error {
-	if !s.isAllocated(p) {
+	if !s.IsAllocated(p) {
 		return fmt.Errorf("%w: deallocate of page %d", storage.ErrPageNotAllocated, p)
 	}
 	s.ckpt.RLock()

@@ -278,7 +278,7 @@ func readAllPages(t *testing.T, s *Store) map[policy.PageID][]byte {
 	t.Helper()
 	out := make(map[policy.PageID][]byte)
 	for p := policy.PageID(0); p < s.next; p++ {
-		if !s.isAllocated(p) {
+		if !s.IsAllocated(p) {
 			continue
 		}
 		buf := make([]byte, storage.PageSize)
@@ -366,10 +366,10 @@ func TestDeallocateSurvivesCrash(t *testing.T) {
 	}
 	s2 := mustOpen(t, dir) // crash: no close
 	defer s2.Close()
-	if s2.isAllocated(a) {
+	if s2.IsAllocated(a) {
 		t.Error("deallocated page came back after recovery")
 	}
-	if !s2.isAllocated(b) {
+	if !s2.IsAllocated(b) {
 		t.Error("live page lost after recovery")
 	}
 	// The freed slot is reused before fresh extension.

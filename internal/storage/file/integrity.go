@@ -131,7 +131,7 @@ func (s *Store) RepairPage(ctx context.Context, p policy.PageID) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if !s.isAllocated(p) {
+	if !s.IsAllocated(p) {
 		return fmt.Errorf("%w: repair of page %d", storage.ErrPageNotAllocated, p)
 	}
 	// Hold off checkpoints (which truncate the log mid-scan) and take the

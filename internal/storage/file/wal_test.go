@@ -191,7 +191,7 @@ func FuzzReplayFrom(f *testing.F) {
 		buf1 := make([]byte, storage.PageSize)
 		buf2 := make([]byte, storage.PageSize)
 		for p := policy.PageID(0); p < s1.next; p++ {
-			if !s1.isAllocated(p) {
+			if !s1.IsAllocated(p) {
 				continue
 			}
 			if _, err := s1.pages.ReadAt(buf1, int64(p)*storage.PageSize); err != nil {

@@ -134,6 +134,15 @@ func (m *Manager) Deallocate(p policy.PageID) error {
 	return nil
 }
 
+// IsAllocated reports whether p is a currently allocated page.
+func (m *Manager) IsAllocated(p policy.PageID) bool {
+	s := m.stripe(p)
+	s.mu.RLock()
+	_, ok := s.pages[p]
+	s.mu.RUnlock()
+	return ok
+}
+
 // Read copies page p into buf, which must hold PageSize bytes. The context
 // is ignored: simulated I/O has no blocking point to interrupt.
 func (m *Manager) Read(_ context.Context, p policy.PageID, buf []byte) error {

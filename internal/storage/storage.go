@@ -1,15 +1,18 @@
 // Package storage defines the page-storage seam of the stack: the Backend
 // interface every page store implements, the shared Stats ledger, transient
-// versus permanent error classification, and backend-agnostic wrappers for
-// deterministic fault injection (WithFaults), per-stripe circuit breaking
+// versus permanent error classification, the corruption vocabulary
+// (ErrCorrupt, Repairer), and backend-agnostic wrappers for seeded fault
+// and corruption injection (WithFaults: one FaultPlan whose rules either
+// fail operations or taint written pages), per-stripe circuit breaking
 // (WithBreaker) and latency instrumentation (WithMetrics).
 //
 // Two backends exist: storage/sim, the in-memory simulated disk the paper's
 // experiments run on, and storage/file, a durable page file with a
 // group-committed write-ahead log and redo-only crash recovery. The buffer
 // pool, the db layer, and the observability assembly depend only on the
-// interface, so the wrappers compose over either backend — fault storms and
-// breaker protection come for free on the durable store.
+// interface, so the wrappers compose over either backend — fault and
+// corruption storms and breaker protection come for free on the durable
+// store.
 package storage
 
 import (

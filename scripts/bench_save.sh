@@ -4,7 +4,10 @@
 #
 #   BENCH_storage.json — storage backends (sim vs durable file store:
 #       write, group-committed parallel write, read, checkpoint, recovery
-#       replay), the cost of durability.
+#       replay), the cost of durability, and the injection wrapper's
+#       traversal on a read (BenchmarkBackendRead: bare sim, never-armed
+#       WithFaults, armed plan matching nothing; 1 and RunParallel
+#       goroutines).
 #   BENCH_hotpath.json — the buffer pool's resident-hit path (the serial
 #       oracle vs the production pool on core.SyncReplacer, 1/4/8/16
 #       goroutines, both backends),
@@ -116,8 +119,12 @@ save() {
     fi
 }
 
-save storage BENCH_storage.json \
+storage_suite() {
     go test -run '^$' -bench . -benchtime 200x -count 1 ./internal/storage/file/
+    go test -run '^$' -bench BenchmarkBackendRead -benchtime 1s -count 1 ./internal/storage/
+}
+
+save storage BENCH_storage.json storage_suite
 
 hot_path() {
     go test -run '^$' -bench BenchmarkPoolHit -benchtime 1s -count 1 ./internal/bufferpool/
